@@ -126,11 +126,18 @@ let ratio_guard r ratio =
   if ratio > 0.95 then
     fail r (Printf.sprintf "spanner_ratio %.4f > 0.95 (degenerate anchor)" ratio)
 
-(* The end-to-end latency trio shared by every workload. *)
+(* The end-to-end latency pair shared by every workload: p10 and the
+   fixed tail percentile. Not the median: on a shared host each vCPU has
+   slow spells of seconds (a fixed loop runs ~1.6x slower), so per-op
+   times split into a fast and a slow mode, and the share of slow time
+   changes from run to run. The median follows that share, jumping
+   between the modes when it is near a half; p10 reads the fast mode and
+   the tail the slow one, each steady as long as neither mode fills the
+   run. *)
 let latency_metrics r ~tail ~prefix s =
-  metric r (prefix ^ "_p50") (Samples.percentile s 50.0);
+  metric r (prefix ^ "_p10") (Samples.percentile s 10.0);
   metric r (prefix ^ "_tail") (Samples.percentile s tail);
-  sample_count r (prefix ^ "_p50") (Samples.count s);
+  sample_count r (prefix ^ "_p10") (Samples.count s);
   sample_count r (prefix ^ "_tail") (Samples.beyond s tail);
   if Samples.beyond s tail < 10 then
     Printf.eprintf
@@ -143,32 +150,54 @@ let ok_ratio r =
      else 1.0 -. (float_of_int r.failed /. float_of_int r.attempted))
 
 (* End-to-end metrics of an in-process workload. Every op there is a
-   write (a bootstrap or a churn tick), so churn_ms_* are its own
-   latencies, with the churn tail fixed at p90 as on serve_mixed. *)
-let in_process_metrics r ~tail ~seconds ~setup_s ~ratio lat =
+   write (a whole bootstrap), so churn_ms_* are its own latencies, at
+   the workload's tail percentile. One op runs at a time,
+   so the throughput is each op's own rate, 1 / its time (the untimed
+   collection and check between ops are the benchmark's, not the
+   program's), read at p90: the fast mode, like latency_ms_p10. *)
+let in_process_metrics r ~tail ~setup_s ~ratio lat =
   metric r "setup_s" setup_s;
   latency_metrics r ~tail ~prefix:"latency_ms" lat;
-  latency_metrics r ~tail:90.0 ~prefix:"churn_ms" lat;
-  metric r "throughput_ops_s" (float_of_int (Samples.count lat) /. seconds);
+  latency_metrics r ~tail ~prefix:"churn_ms" lat;
+  let rates = Samples.create () in
+  for i = 0 to Samples.count lat - 1 do
+    Samples.add rates (1000.0 /. lat.Samples.a.(i))
+  done;
+  metric r "throughput_ops_s" (Samples.percentile rates 90.0);
   metric r "peak_rss_mb" (peak_rss_mb ());
   metric r "spanner_ratio" ratio;
   ok_ratio r
 
-(* Runs [f] (which returns its per-op samples) and reports the minor
-   words and major collections per op it cost. *)
-let gc_per_op r f =
-  let gc0 = Gc.quick_stat () in
-  let lat = f () in
-  let gc1 = Gc.quick_stat () in
-  let ops = float_of_int (max 1 (Samples.count lat)) in
-  metric r "gc.minor_words_per_op" ((gc1.minor_words -. gc0.minor_words) /. ops);
-  metric r "gc.major_collections_per_op"
-    (float_of_int (gc1.major_collections - gc0.major_collections) /. ops);
-  lat
+(* GC cost of the timed ops alone: Gc.quick_stat deltas taken around
+   each op and summed, so the untimed work between ops (forced
+   collections, output checks) is left out. *)
+module Gc_meter = struct
+  type t = { mutable minor_words : float; mutable major : int; mutable ops : int }
+
+  let create () = { minor_words = 0.0; major = 0; ops = 0 }
+
+  let measure t f =
+    let a = Gc.quick_stat () in
+    let x = f () in
+    let b = Gc.quick_stat () in
+    t.minor_words <- t.minor_words +. (b.minor_words -. a.minor_words);
+    t.major <- t.major + (b.major_collections - a.major_collections);
+    t.ops <- t.ops + 1;
+    x
+
+  let report t r =
+    let ops = float_of_int (max 1 t.ops) in
+    metric r "gc.minor_words_per_op" (t.minor_words /. ops);
+    metric r "gc.major_collections_per_op" (float_of_int t.major /. ops)
+end
+
+(* [time f], and its GC cost into [gc] when given. *)
+let time_op ?gc f =
+  match gc with None -> time f | Some m -> Gc_meter.measure m (fun () -> time f)
 
 let trace_overhead r ~plain ~traced =
   metric r "trace_overhead"
-    (Samples.percentile traced 50.0 -. Samples.percentile plain 50.0)
+    (Samples.percentile traced 10.0 -. Samples.percentile plain 10.0)
 
 let json_float x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x

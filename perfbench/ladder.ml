@@ -15,8 +15,10 @@ module G = Grapho
 module C = Spanner_core
 module D = Distsim
 
-let n = 200
-let setups = 5
+let n = 80
+(* ~0.05 s each: 100 span several seconds, so that their median is not
+   decided by a single one of the host's slow spells *)
+let setups = 100
 
 let run ~seed ~seconds ~trace ~tail =
   let r = result () in
@@ -53,25 +55,27 @@ let run ~seed ~seconds ~trace ~tail =
       && D.Engine.metrics_deterministic_eq res.metrics first.metrics
       && C.Spanner_check.is_2_spanner_fast g res.spanner)
   in
-  let loop ?(profiles = ref []) ~traced secs =
+  let loop ?(profiles = ref []) ?gc ~traced secs =
     let lat = Samples.create () in
     let t_end = now () +. secs in
     while now () < t_end do
       let profile = if traced then Some (D.Profile.create ()) else None in
       Option.iter (fun p -> profiles := p :: !profiles) profile;
       Gc.full_major ();
-      let res, dt = time (fun () -> bootstrap ?profile g) in
+      let res, dt = time_op ?gc (fun () -> bootstrap ?profile g) in
       Samples.add lat (1000.0 *. dt);
       check res
     done;
     lat
   in
   if not trace then
-    in_process_metrics r ~tail ~seconds
+    in_process_metrics r ~tail
       ~setup_s:(median (List.map (fun (_, _, _, s) -> s) runs))
       ~ratio (loop ~traced:false seconds)
   else begin
-    let plain = gc_per_op r (fun () -> loop ~traced:false (seconds /. 2.0)) in
+    let gc = Gc_meter.create () in
+    let plain = loop ~gc ~traced:false (seconds /. 2.0) in
+    Gc_meter.report gc r;
     (* Traced half: a fresh profile per run, phase totals summed. *)
     let profiles = ref [] in
     let traced = loop ~profiles ~traced:true (seconds /. 2.0) in

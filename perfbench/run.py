@@ -124,7 +124,7 @@ def main():
             missing.append(name)
             continue
         if isinstance(note, int):
-            note = "n=%d" % note if name.endswith("_p50") else "%d beyond" % note
+            note = "n=%d" % note if name.endswith("_p10") else "%d beyond" % note
         metrics[name] = {"value": value, "unit": m["unit"]}
         print("%-40s %16.6g  %-6s %-7s %s" % (name, value, m["unit"], m["better"], note))
     extra = sorted(set(raw["metrics"]) - {m["name"] for m in wanted})

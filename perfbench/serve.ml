@@ -25,7 +25,7 @@ let p_rewire = 0.1
 let setups = 3
 let batch = 64
 let pool_batches = 512
-let rate = 6.0 (* CHURN lines per second *)
+let rate = 4.0 (* CHURN lines per second *)
 let forward = 60 (* churns per pass; the cycle is the pass plus its inverse *)
 let warmup_s = 2.0
 let ratio_after = 8 (* spanner_ratio is read from this CHURN ack *)
@@ -90,26 +90,13 @@ let fill c =
   | `Data _ | `Again -> ()
   | `Eof -> failwith "spannerd closed the connection"
 
-(* One request/reply exchange outside the measured window. *)
-let request c line =
-  N.Netbuf.add_string c.outb (line ^ "\n");
-  let deadline = now () +. 60.0 in
-  let rec go () =
-    flush c;
-    match N.Netbuf.take_line c.inb with
-    | Some l -> l
-    | None ->
-        if now () > deadline then failwith ("no reply to " ^ line);
-        let w = if N.Netbuf.is_empty c.outb then [] else [ c.fd ] in
-        ignore (Unix.select [ c.fd ] w [] 1.0);
-        fill c;
-        go ()
-  in
-  go ()
+(* One blocking request/reply exchange outside the measured window. *)
+let request d req =
+  let c = N.Client.connect ~port:d.port () in
+  Fun.protect ~finally:(fun () -> N.Client.close c) (fun () -> N.Client.request c req)
 
-let stop d c =
-  (try ignore (request c "SHUTDOWN") with Failure _ | Unix.Unix_error _ -> ());
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
+let stop d =
+  (try ignore (request d N.Wire.Shutdown) with Unix.Unix_error _ -> ());
   (* SHUTDOWN drains within 5 s; SIGKILL only if it never returns *)
   let deadline = now () +. 10.0 in
   let rec reap () =
@@ -190,7 +177,9 @@ let path_ok u v line =
 (* ---- the mixed closed/open loop ------------------------------------- *)
 
 type window = {
+  t0 : float;  (* start edge *)
   reads : Samples.t;  (* batch RTT, ms *)
+  per_s : int array;  (* reads sent in each whole second of the window *)
   churns : Samples.t;  (* due -> ack, ms *)
   mutable overlapping : int;  (* reads with a CHURN outstanding *)
   mutable late_ms : float;  (* worst generator lateness *)
@@ -205,18 +194,13 @@ let snap d =
 
 (* Runs the traffic for warmup_s and then each window's duration in
    turn; samples are attributed to the window their op started in
-   (reads) or was due in (churns), warm-up ones are dropped. Returns
-   the windows, a snap at each window edge, and the spanner size
-   acknowledged by the [ratio_after]-th CHURN. *)
-let drive r d inp ~reader ~writer ~durations =
-  let windows =
-    Array.of_list
-      (List.map
-         (fun _ ->
-           { reads = Samples.create (); churns = Samples.create ();
-             overlapping = 0; late_ms = 0.0 })
-         durations)
-  in
+   (reads) or was due in (churns), warm-up ones are dropped. With
+   [sub], a third connection SUBSCRIBEs when the second window opens,
+   so the daemon streams its engine trace through that window; the
+   events are read and discarded. Returns the windows, a snap at each
+   window edge, and the spanner size acknowledged by the
+   [ratio_after]-th CHURN. *)
+let drive r d inp ~reader ~writer ?sub ~durations () =
   let start = now () in
   let edges =
     Array.of_list
@@ -224,6 +208,15 @@ let drive r d inp ~reader ~writer ~durations =
          (List.fold_left
             (fun acc s -> (List.hd acc +. s) :: acc)
             [ start +. warmup_s ] durations))
+  in
+  let windows =
+    Array.of_list
+      (List.mapi
+         (fun i secs ->
+           { t0 = edges.(i); reads = Samples.create ();
+             per_s = Array.make (int_of_float secs) 0; churns = Samples.create ();
+             overlapping = 0; late_ms = 0.0 })
+         durations)
   in
   let t_end = edges.(Array.length edges - 1) in
   let window_of t =
@@ -233,12 +226,16 @@ let drive r d inp ~reader ~writer ~durations =
   in
   let snaps = ref [] in
   let rec cross t =
-    if List.length !snaps < Array.length edges && t >= edges.(List.length !snaps)
-    then begin
+    let k = List.length !snaps in
+    if k < Array.length edges && t >= edges.(k) then begin
       snaps := snap d :: !snaps;
+      (match sub with
+      | Some s when k = 1 -> N.Netbuf.add_string s.outb "SUBSCRIBE\n"; flush s
+      | _ -> ());
       cross t
     end
   in
+  let conns = reader :: writer :: Option.to_list sub in
   let due k = start +. (float_of_int k /. rate) in
   let next_churn = ref 0 in
   let outstanding = Queue.create () in
@@ -255,6 +252,8 @@ let drive r d inp ~reader ~writer ~durations =
     (match window_of !sent_at with
     | Some w ->
         Samples.add w.reads (1000.0 *. (t -. !sent_at));
+        let k = int_of_float (!sent_at -. w.t0) in
+        if k < Array.length w.per_s then w.per_s.(k) <- w.per_s.(k) + 1;
         if !overlap then w.overlapping <- w.overlapping + 1
     | None -> ());
     bi := (!bi + 1) mod pool_batches
@@ -301,14 +300,16 @@ let drive r d inp ~reader ~writer ~durations =
     let wr =
       List.filter_map
         (fun c -> if N.Netbuf.is_empty c.outb then None else Some c.fd)
-        [ reader; writer ]
+        conns
     in
     let rd, ww, _ =
-      try Unix.select [ reader.fd; writer.fd ] wr [] timeout
+      try Unix.select (List.map (fun c -> c.fd) conns) wr [] timeout
       with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
     in
-    if List.mem reader.fd ww then flush reader;
-    if List.mem writer.fd ww then flush writer;
+    List.iter (fun c -> if List.mem c.fd ww then flush c) conns;
+    Option.iter
+      (fun s -> if List.mem s.fd rd then begin fill s; N.Netbuf.clear s.inb end)
+      sub;
     if List.mem reader.fd rd then begin
       fill reader;
       let rec drain () =
@@ -358,22 +359,19 @@ let replica r seed inp =
   let per_query_us secs = 1e6 *. secs /. float_of_int queries in
   (* Conn.feed: the daemon's whole per-batch path minus the sockets. *)
   let conn = N.Daemon.Conn.create () in
-  let feed_pool samples =
+  let feed_pool ?gc samples =
     Array.iter
       (fun (text, _, _) ->
-        let _, dt = time (fun () -> N.Daemon.Conn.feed conn svc text) in
+        let _, dt = time_op ?gc (fun () -> N.Daemon.Conn.feed conn svc text) in
         N.Netbuf.clear (N.Daemon.Conn.output conn);
         Samples.add samples (1e6 *. dt))
       inp.pool
   in
   feed_pool (Samples.create ());
-  let feed =
-    gc_per_op r (fun () ->
-        let s = Samples.create () in
-        for _ = 1 to 3 do feed_pool s done;
-        s)
-  in
-  metric r "conn.feed_us_per_batch" (Samples.percentile feed 50.0);
+  let feed = Samples.create () and gc = Gc_meter.create () in
+  for _ = 1 to 3 do feed_pool ~gc feed done;
+  Gc_meter.report gc r;
+  metric r "conn.feed_us_per_batch" (Samples.percentile feed 10.0);
   let each f =
     Array.iter (fun (_, us, vs) -> Array.iteri (fun i u -> f u vs.(i)) us) inp.pool
   in
@@ -440,14 +438,24 @@ let replica r seed inp =
   metric r "service.churn_ms" (Samples.mean svc_ms);
   metric r "service.spanner_csr_ms" (Samples.mean rebuild_ms);
   Tick_probe.report probe r;
-  Samples.percentile feed 50.0
+  Samples.percentile feed 10.0
 
 (* ---- the workload ---------------------------------------------------- *)
 
-let stats_fields line =
-  match N.Wire.parse_reply line with
+(* QUERY replies per second: the 75th percentile of the window's
+   per-second rates. A second is fast or slow as the host's vCPU is, so
+   like latency the rate has two modes, and a whole-window rate moves
+   with the share of slow seconds; the 75th percentile reads the fast
+   mode as long as a quarter of the seconds are fast. *)
+let throughput w =
+  let rates = Samples.create () in
+  Array.iter (fun k -> Samples.add rates (float_of_int (k * batch))) w.per_s;
+  Samples.percentile rates 75.0
+
+let stats_fields d =
+  match request d N.Wire.Stats with
   | Ok (N.Wire.Stats_reply f) -> f
-  | _ -> failwith ("bad STATS reply: " ^ line)
+  | _ -> failwith "bad STATS reply"
 
 let run ~seed ~seconds ~trace ~tail ~spannerd ~tmp =
   let r = result () in
@@ -470,7 +478,7 @@ let run ~seed ~seconds ~trace ~tail ~spannerd ~tmp =
             let d, s = spawn ~exe:spannerd ~tmp ~spec i in
             live := Some d;
             if i < spawns - 1 then begin
-              stop d (connect d.port);
+              stop d;
               live := None
             end;
             s)
@@ -479,15 +487,19 @@ let run ~seed ~seconds ~trace ~tail ~spannerd ~tmp =
       let inp = make_inputs seed in
       Gc.compact ();
       let reader = connect d.port and writer = connect d.port in
+      let sub = if trace then Some (connect d.port) else None in
       let durations = if trace then [ seconds /. 2.0; seconds /. 2.0 ] else [ seconds ] in
-      let windows, snaps, ratio_spanner = drive r d inp ~reader ~writer ~durations in
-      let last = snaps.(Array.length snaps - 1) and prev = snaps.(Array.length snaps - 2) in
-      let secs = last.t -. prev.t in
-      let stats = stats_fields (request reader "STATS") in
+      let windows, snaps, ratio_spanner =
+        drive r d inp ~reader ~writer ?sub ~durations ()
+      in
+      (* the untraced (first) window's edges *)
+      let w0 = snaps.(0) and w1 = snaps.(1) in
+      let secs = w1.t -. w0.t in
+      let stats = stats_fields d in
       let stat k = Option.value ~default:(-1.0) (List.assoc_opt k stats) in
       let rss = peak_rss_mb ~pid:d.pid () in
-      Unix.close writer.fd;
-      stop d reader;
+      List.iter (fun c -> Unix.close c.fd) (reader :: writer :: Option.to_list sub);
+      stop d;
       live := None;
       if stat "errors" <> 0.0 then fail r "daemon counted protocol errors";
       if stat "valid" <> 1.0 then fail r "daemon's spanner is not valid";
@@ -500,17 +512,17 @@ let run ~seed ~seconds ~trace ~tail ~spannerd ~tmp =
           metric r "setup_s" (median setup_times);
           latency_metrics r ~tail ~prefix:"latency_ms" w.reads;
           latency_metrics r ~tail:churn_tail ~prefix:"churn_ms" w.churns;
-          metric r "throughput_ops_s" (float_of_int (Samples.count w.reads * batch) /. secs);
+          metric r "throughput_ops_s" (throughput w);
           metric r "peak_rss_mb" rss;
           metric r "spanner_ratio" ratio;
           ok_ratio r
-      | [ plain; w ] ->
+      | [ w; traced ] ->
           let batches = float_of_int (max 1 (Samples.count w.reads)) in
           metric r "generators.gen_ms" (1000.0 *. inp.gen_s);
-          metric r "daemon.cpu_util" ((last.cpu -. prev.cpu) /. secs);
+          metric r "daemon.cpu_util" ((w1.cpu -. w0.cpu) /. secs);
           metric r "daemon.ctx_switches_per_batch"
-            (float_of_int (last.ctx - prev.ctx) /. batches);
-          metric r "loadgen.cpu_util" ((last.self -. prev.self) /. secs);
+            (float_of_int (w1.ctx - w0.ctx) /. batches);
+          metric r "loadgen.cpu_util" ((w1.self -. w0.self) /. secs);
           metric r "loadgen.late_ms" w.late_ms;
           metric r "client.reads_overlapping_churn_share"
             (float_of_int w.overlapping /. batches);
@@ -518,9 +530,9 @@ let run ~seed ~seconds ~trace ~tail ~spannerd ~tmp =
             (fun k -> metric r ("stats." ^ k) (stat k))
             [ "queries"; "paths"; "nopaths"; "churn_ticks"; "churn_broken";
               "repair_rounds"; "errors" ];
-          let rtt_us = 1000.0 *. Samples.percentile w.reads 50.0 in
+          let rtt_us = 1000.0 *. Samples.percentile w.reads 10.0 in
           let feed_us = replica r seed inp in
           metric r "daemon.loop_residual_us" (rtt_us -. feed_us);
-          trace_overhead r ~plain:plain.reads ~traced:w.reads
+          trace_overhead r ~plain:w.reads ~traced:traced.reads
       | _ -> assert false);
   r

@@ -27,7 +27,6 @@ let () =
   let r =
     match !workload with
     | "bootstrap_ladder" -> Ladder.run ~seed ~seconds ~trace ~tail
-    | "churn_caveman" -> Churn.run ~seed ~seconds ~trace ~tail
     | "serve_mixed" ->
         Serve.run ~seed ~seconds ~trace ~tail ~spannerd:!spannerd ~tmp:!tmp
     | w ->
