@@ -1,7 +1,7 @@
 (* Shared plumbing for the bench executable: report formatting, the
    graph families and protocol anchors the perf trajectory tracks
    across PRs, wall-clock timing helpers, and the --json/--trace
-   writer (schema "spanner-bench/9").
+   writer (schema "spanner-bench/10").
 
    The experiment functions themselves live in main.ml; everything
    here is the scaffolding they share so that adding an experiment
@@ -66,14 +66,14 @@ let seq_vs_par_anchors () =
       Generators.caveman (rng 24) 6 6 0.04 );
   ]
 
-let run_anchor ?(trace = Distsim.Trace.null) ?profile ?par ?sched ?frugal
+let run_anchor ?(trace = Distsim.Trace.null) ?profile ?par ?frugal
     ?adversary ?retry kind g : C.Two_spanner_local.result =
   match kind with
   | `Local ->
-      C.Two_spanner_local.run ~seed:3 ?par ?sched ?profile ?frugal ?adversary
+      C.Two_spanner_local.run ~seed:3 ?par ?profile ?frugal ?adversary
         ?retry ~trace g
   | `Congest ->
-      C.Two_spanner_local.run_congest ~seed:3 ?par ?sched ?profile ?frugal
+      C.Two_spanner_local.run_congest ~seed:3 ?par ?profile ?frugal
         ?adversary ?retry ~trace g
 
 (* ------------------------------------------------------------------ *)
@@ -211,72 +211,6 @@ let seq_vs_par_rows ~par ~reps ~selected =
             ] )
       end)
     (seq_vs_par_anchors ())
-
-(* ------------------------------------------------------------------ *)
-(* Allocation A/B rows (schema "spanner-bench/4").
-
-   For the E1 families and every protocol anchor, run the protocol
-   under the mailbox engine and under the legacy-cost shim
-   ([`Active_legacy_cost]): the same event-driven scheduler with the
-   pre-mailbox per-message allocation profile (list inbox + sorted
-   copy per step, send-record list per emit batch) interposed. The
-   deterministic metrics are asserted equal, so the row isolates the
-   cost of the message plumbing: minor words and allocated bytes per
-   run from [Engine.metrics], and interleaved best wall times. *)
-let alloc_rows ~reps ~selected =
-  let sel id = selected = [] || List.mem id selected in
-  let entries =
-    (if not (sel "e1") then []
-     else
-       List.map
-         (fun (name, g) ->
-           ( "e1_local_" ^ name,
-             g,
-             fun ?sched () -> C.Two_spanner_local.run ~seed:5 ?sched g ))
-         (ratio_families ()))
-    @ List.filter_map
-        (fun (name, family, kind, g) ->
-          if not (sel family) then None
-          else Some (name, g, fun ?sched () -> run_anchor ?sched kind g))
-        (anchors ())
-  in
-  List.map
-    (fun
-      ( name,
-        g,
-        (run :
-          ?sched:Distsim.Engine.sched -> unit -> C.Two_spanner_local.result)
-      )
-    ->
-      let a = run () in
-      let b = run ~sched:`Active_legacy_cost () in
-      if not (Distsim.Engine.metrics_deterministic_eq a.metrics b.metrics)
-      then
-        failwith
-          (Printf.sprintf
-             "alloc A/B: legacy-cost shim diverged on %s (deterministic \
-              metrics differ)"
-             name);
-      let mailbox_ms, legacy_ms =
-        interleaved_ab_ms ~reps
-          (fun () -> ignore (run ()))
-          (fun () -> ignore (run ~sched:`Active_legacy_cost ()))
-      in
-      ( name,
-        [
-          ("n", float_of_int (Ugraph.n g));
-          ("m", float_of_int (Ugraph.m g));
-          ("minor_words", a.metrics.minor_words);
-          ("allocated_bytes", a.metrics.allocated_bytes);
-          ("legacy_minor_words", b.metrics.minor_words);
-          ("legacy_allocated_bytes", b.metrics.allocated_bytes);
-          ( "minor_words_ratio",
-            b.metrics.minor_words /. Float.max 1.0 a.metrics.minor_words );
-          ("mailbox_ms_best", mailbox_ms);
-          ("legacy_ms_best", legacy_ms);
-          ("speedup_vs_legacy", legacy_ms /. Float.max 1e-9 mailbox_ms);
-        ] ))
-    entries
 
 (* ------------------------------------------------------------------ *)
 (* Fault-sweep rows (new in schema "spanner-bench/5").
@@ -498,7 +432,7 @@ let csr_rows ~par ~selected =
    2-bit markers) and tree shape. The [identical] flag asserts the
    correctness contract (same spanner, same iteration count, equal
    logical metrics per [Engine.metrics_logical_eq]); a divergence
-   fails the whole bench, like the alloc A/B. [identical_faulted]
+   fails the whole bench. [identical_faulted]
    re-asserts it under a deterministic fault schedule (LOCAL anchors:
    drops + crashes; drops exercise the suppression-memo invalidation
    path). *)
@@ -1089,9 +1023,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
   let sv_rows =
     if json_path = None then [] else seq_vs_par_rows ~par ~reps:3 ~selected
   in
-  let al_rows =
-    if json_path = None then [] else alloc_rows ~reps:3 ~selected
-  in
   let ft_rows = if json_path = None then [] else fault_rows ~selected in
   let cs_rows = if json_path = None then [] else csr_rows ~par ~selected in
   let fr_rows =
@@ -1119,6 +1050,21 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
           Printf.sprintf "%.0f" v
         else Printf.sprintf "%.3f" v
       in
+      (* One [ "section": { "row": { "key": num, ... }, ... } ] block. *)
+      let rows_section title rows =
+        out "  %S: {\n" title;
+        sep
+          (fun (name, fields) ->
+            out "    %S: { " name;
+            List.iteri
+              (fun i (k, v) ->
+                if i > 0 then out ", ";
+                out "%S: %s" k (num v))
+              fields;
+            out " }")
+          rows;
+        out "\n  },\n"
+      in
       out "{\n";
       out "  \"schema\": \"spanner-bench/10\",\n";
       out "  \"par\": { \"domains\": %d, \"cores\": %d },\n" par
@@ -1134,102 +1080,24 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
       out "  \"wall_clock_ms_stats_sink_best_of_3\": {\n";
       sep (fun (name, ms) -> out "    %S: %.3f" name ms) wall_stats_rows;
       out "\n  },\n";
-      out "  \"seq_vs_par\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        sv_rows;
-      out "\n  },\n";
-      out "  \"alloc\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        al_rows;
-      out "\n  },\n";
-      out "  \"faults\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        ft_rows;
-      out "\n  },\n";
-      out "  \"csr\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        cs_rows;
-      out "\n  },\n";
+      rows_section "seq_vs_par" sv_rows;
+      rows_section "faults" ft_rows;
+      rows_section "csr" cs_rows;
       (* Frugal A/B rows (schema "spanner-bench/8"): the physical
          wire stream under the message-frugality layer next to the
          logical one, with the correctness contract asserted on every
          row ([identical] / [identical_faulted]). *)
-      out "  \"frugal\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        fr_rows;
-      out "\n  },\n";
+      rows_section "frugal" fr_rows;
       (* Churn rows (schema "spanner-bench/9"): incremental dirty-ball
          repair vs full recompute under seeded edge churn, with the
          per-tick validity verdict and (on the small anchor) the
          cross-engine determinism flag folded in. *)
-      out "  \"churn\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        ch_rows;
-      out "\n  },\n";
+      rows_section "churn" ch_rows;
       (* Serve rows (schema "spanner-bench/10"): closed-loop query
          load against a forked spannerd holding the resident spanner —
          queries/sec, error count and the per-request latency
          distribution in microseconds. *)
-      out "  \"serve\": {\n";
-      sep
-        (fun (name, fields) ->
-          out "    %S: { " name;
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then out ", ";
-              out "%S: %s" k (num v))
-            fields;
-          out " }")
-        sv2_rows;
-      out "\n  },\n";
+      rows_section "serve" sv2_rows;
       out "  \"round_series\": {\n";
       sep
         (fun (name, series) ->
@@ -1298,13 +1166,12 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
       close_out oc;
       printf
         "\nperf trajectory written to %s (%d metric rows, %d micros, %d \
-         seq-vs-par anchors at %d domains, %d alloc rows, %d fault rows, %d \
-         csr rows, %d frugal rows, %d churn rows, %d serve rows, %d profile \
-         rows)\n"
+         seq-vs-par anchors at %d domains, %d fault rows, %d csr rows, %d \
+         frugal rows, %d churn rows, %d serve rows, %d profile rows)\n"
         path
         (List.length metric_rows)
         (match micro_rows with None -> 0 | Some rows -> List.length rows)
-        (List.length sv_rows) par (List.length al_rows)
+        (List.length sv_rows) par
         (List.length ft_rows) (List.length cs_rows) (List.length fr_rows)
         (List.length ch_rows) (List.length sv2_rows)
         (List.length profile_rows));

@@ -177,7 +177,7 @@ let metrics_deterministic_eq a b =
   && a.sent_physical = b.sent_physical
   && a.sent_bits = b.sent_bits
 
-type sched = [ `Active | `Active_legacy_cost | `Naive ]
+type sched = [ `Active | `Naive ]
 
 type ('state, 'msg) spec = {
   init :
@@ -190,13 +190,6 @@ type ('state, 'msg) spec = {
 }
 
 exception Congest_violation of { src : int; dst : int; bits : int }
-
-(* The legacy [observer] is a thin wrapper over a [Send]-only trace
-   sink; the engine internally folds it into the sink it traces to. *)
-let effective_trace ?observer trace =
-  match observer with
-  | None -> trace
-  | Some f -> Trace.tee (Trace.of_observer f) trace
 
 let now_ns = Clock.now_ns
 
@@ -211,9 +204,8 @@ let now_ns = Clock.now_ns
    boundaries), per-round deltas only when tracing. [profile], when
    installed, sees every metered message's size; like the trace
    emission this happens on the calling (merge) thread only. *)
-let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
-    ~strict ~graph ~measure () =
-  let trace = effective_trace ?observer trace in
+let make_accounting ?adversary ?profile ?frugal ~trace ~round ~strict
+    ~graph ~measure () =
   let tracing = not (Trace.is_null trace) in
   let wants_sends = Trace.wants_sends trace in
   let frugal_on = frugal <> None in
@@ -285,6 +277,23 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
       invalid_arg
         (Printf.sprintf "Engine: vertex %d sent to non-neighbor %d" src dst)
   in
+  let phys =
+    match frugal with
+    | None -> None
+    | Some fr ->
+        if
+          not
+            (Frugal.graph fr == graph
+            || Grapho.Ugraph.equal (Frugal.graph fr) graph)
+        then invalid_arg "Engine: ?frugal value built for a different graph";
+        let blocked =
+          match adversary with
+          | None -> fun _ _ -> false
+          | Some adv ->
+              fun src dst -> Adversary.blocks adv ~src ~dst <> None
+        in
+        Some (Frugal.stream fr ~charge ~blocked)
+  in
   (* The adversary and frugal branches are resolved {e once} here, so
      the plain no-adversary account path is exactly the
      pre-fault-injection code. [account] meters one message;
@@ -292,435 +301,86 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
      vertex this round) so the frugal path can recognize
      full-neighborhood broadcasts; [flush_round] settles end-of-round
      physical state (end-of-silence markers, aggregated collects). *)
-  let plain_account =
-    match adversary with
-    | None ->
+  let account =
+    match (adversary, phys) with
+    | None, None ->
         fun ~bandwidth ~deliver src dst payload ->
           check_edge src dst;
           meter ~bandwidth src dst (measure payload);
           deliver ~src ~dst payload
-    | Some adv -> (
+    | _ -> (
+        (* The coin stream is consulted per {e logical} message in
+           delivery order, exactly as on a plain run, so faulted
+           executions stay bit-identical with and without [?frugal]. *)
         fun ~bandwidth ~deliver src dst payload ->
           check_edge src dst;
           let bits = measure payload in
-          match Adversary.consult adv ~src ~dst with
+          let verdict =
+            match adversary with
+            | None -> Adversary.Deliver
+            | Some adv -> Adversary.consult adv ~src ~dst
+          in
+          match verdict with
           | Adversary.Deliver ->
               meter ~bandwidth src dst bits;
+              (match phys with
+              | Some s -> Frugal.direct s ~round:!round src dst payload bits
+              | None -> ());
               deliver ~src ~dst payload
           | Adversary.Duplicate ->
               meter ~bandwidth src dst bits;
               deliver ~src ~dst payload;
               meter ~bandwidth src dst bits;
-              deliver ~src ~dst payload
+              deliver ~src ~dst payload;
+              (match phys with
+              | Some s ->
+                  Frugal.duplicate s ~round:!round src dst payload bits
+              | None -> ())
           | Adversary.Drop reason ->
               meter ~bandwidth src dst bits;
+              (match phys with
+              | Some s -> Frugal.drop s src dst bits
+              | None -> ());
               incr dropped;
               incr r_dropped;
               if tracing && wants_sends then
                 Trace.emit trace
-                  (Trace.Message_dropped
-                     { src; dst; round = !round; reason }))
+                  (Trace.Message_dropped { src; dst; round = !round; reason })
+        )
   in
-  let account, account_seg, flush_round =
-    match frugal with
-    | None ->
-        let seg ~bandwidth ~deliver src dsts msgs ~lo ~hi =
-          for i = lo to hi - 1 do
-            plain_account ~bandwidth ~deliver src
-              (Array.unsafe_get dsts i)
-              (Array.unsafe_get msgs i)
-          done
-        in
-        (plain_account, seg, fun () -> ())
-    | Some fr ->
-        if
-          not
-            (Frugal.graph fr == graph
-            || Grapho.Ugraph.equal (Frugal.graph fr) graph)
-        then invalid_arg "Engine: ?frugal value built for a different graph";
-        (* [Auto] mode: per-edge suppression starts observe-only —
-           direct sends are charged at full size (physical = logical
-           on those edges) while the repeat statistics accumulate;
-           [flush_round] arms or permanently disarms the machine once
-           the window closes. All mutation happens on the merge
-           thread in delivery order, so the decision — and with it
-           the whole physical stream — is deterministic across
-           schedulers and shard counts. *)
-        let obs_window = Frugal.auto_window fr in
-        let suppress_on = ref (obs_window = 0) in
-        let auto_decided = ref (obs_window = 0) in
-        let obs_repeats = ref 0 in
-        let obs_runs = ref 0 in
-        let n = Grapho.Ugraph.n graph in
-        let m2 = 2 * Grapho.Ugraph.m graph in
-        (* Per-directed-edge send memo, keyed by [Ugraph.edge_slot].
-           The payload array needs a ['msg] seed, so the whole memo is
-           allocated on the first direct (non-broadcast) send — runs
-           that only ever broadcast (flood on the million-vertex
-           anchors) never pay the 2m words. Flag bits: 1 = silence
-           armed, 2 = queued in the sweep stack. *)
-        let e_msg = ref [||] in
-        let e_round = ref [||] in
-        let e_flag = ref Bytes.empty in
-        let ensure_edge payload =
-          if Array.length !e_round = 0 && m2 > 0 then begin
-            e_msg := Array.make m2 payload;
-            e_round := Array.make m2 min_int;
-            e_flag := Bytes.make m2 '\000'
-          end
-        in
-        (* Sweep stack of directed edges whose silence may need an
-           end-of-round Eps marker. *)
-        let sw_slot = ref (Array.make 16 0) in
-        let sw_src = ref (Array.make 16 0) in
-        let sw_dst = ref (Array.make 16 0) in
-        let sw_len = ref 0 in
-        let sw_push slot src dst =
-          let cap = Array.length !sw_slot in
-          if !sw_len = cap then begin
-            let grow a =
-              let na = Array.make (2 * cap) 0 in
-              Array.blit !a 0 na 0 cap;
-              a := na
-            in
-            grow sw_slot;
-            grow sw_src;
-            grow sw_dst
-          end;
-          !sw_slot.(!sw_len) <- slot;
-          !sw_src.(!sw_len) <- src;
-          !sw_dst.(!sw_len) <- dst;
-          incr sw_len
-        in
-        let ipush stack len v =
-          let cap = Array.length !stack in
-          if !len = cap then begin
-            let na = Array.make (2 * cap) 0 in
-            Array.blit !stack 0 na 0 cap;
-            stack := na
-          end;
-          !stack.(!len) <- v;
-          incr len
-        in
-        (* Per-vertex broadcast memo (same machine, one cell per
-           broadcaster) and the per-receiver collect accumulators. *)
-        let b_msg = ref [||] in
-        let b_round = Array.make (max n 1) min_int in
-        let b_flag = Bytes.make (max n 1) '\000' in
-        let vw = ref (Array.make 16 0) in
-        let vw_len = ref 0 in
-        let c_round = Array.make (max n 1) min_int in
-        let c_bits = Array.make (max n 1) 0 in
-        let cw = ref (Array.make 16 0) in
-        let cw_len = ref 0 in
-        (* Pointer fast path first; the structural fallback guards
-           against payload types [compare] rejects. *)
-        let payload_eq a b =
-          a == b || (try a = b with Invalid_argument _ -> false)
-        in
-        let mark_collect w bits =
-          if c_round.(w) <> !round then begin
-            c_round.(w) <- !round;
-            c_bits.(w) <- 2;
-            ipush cw cw_len w
-          end;
-          c_bits.(w) <- c_bits.(w) + bits
-        in
-        (* The silence state machine for one direct send. Arm on the
-           {e second} consecutive identical send (one-shot payloads
-           stay at exact parity with the plain stream): fresh data
-           costs [bits], the arming repeat costs a 2-bit Again marker,
-           further repeats cost nothing, and the round after the run
-           ends [flush_round] pays a 2-bit Eps marker. *)
-        let direct src dst payload bits =
-          ensure_edge payload;
-          let slot = Grapho.Ugraph.edge_slot graph src dst in
-          let er = !e_round and ef = !e_flag in
-          let flag = Char.code (Bytes.unsafe_get ef slot) in
-          let repeat =
-            Array.unsafe_get er slot = !round - 1
-            && payload_eq (Array.unsafe_get !e_msg slot) payload
-          in
-          if !suppress_on then begin
-            if repeat then begin
-              if flag land 1 = 1 then Frugal.note_suppressed fr 1
-              else begin
-                if flag land 2 = 0 then sw_push slot src dst;
-                Bytes.unsafe_set ef slot (Char.chr (flag lor 3));
-                charge src dst 2;
-                Frugal.note_marker fr
-              end
-            end
-            else begin
-              if flag land 1 = 1 then
-                Bytes.unsafe_set ef slot (Char.chr (flag land lnot 1));
-              charge src dst bits
-            end
-          end
-          else begin
-            (* Observe-only (an [Auto] window, or an [Auto] run that
-               decided against markers): full charge, plus — while
-               undecided — run-length statistics through flag bit 4. *)
-            if !auto_decided then ()
-            else if repeat then begin
-              incr obs_repeats;
-              if flag land 4 = 0 then begin
-                incr obs_runs;
-                Bytes.unsafe_set ef slot (Char.chr (flag lor 4))
-              end
-            end
-            else if flag land 4 <> 0 then
-              Bytes.unsafe_set ef slot (Char.chr (flag land lnot 4));
-            charge src dst bits
-          end;
-          Array.unsafe_set er slot !round;
-          Array.unsafe_set !e_msg slot payload
-        in
-        (* A faulted copy went over the wire regardless of the memo:
-           record the send without engaging suppression. *)
-        let force src dst payload =
-          ensure_edge payload;
-          let slot = Grapho.Ugraph.edge_slot graph src dst in
-          let flag = Char.code (Bytes.get !e_flag slot) in
-          if flag land 1 = 1 then
-            Bytes.set !e_flag slot (Char.chr (flag land lnot 1));
-          !e_round.(slot) <- !round;
-          !e_msg.(slot) <- payload
-        in
-        (* A drop desynchronizes the receiver's replay cache, so the
-           silence convention on that edge must be re-established from
-           scratch. *)
-        let invalidate src dst =
-          if Array.length !e_round > 0 then begin
-            let slot = Grapho.Ugraph.edge_slot graph src dst in
-            !e_round.(slot) <- min_int;
-            let flag = Char.code (Bytes.get !e_flag slot) in
-            if flag land 1 = 1 then
-              Bytes.set !e_flag slot (Char.chr (flag land lnot 1))
-          end
-        in
-        let account =
-          match adversary with
-          | None ->
-              fun ~bandwidth ~deliver src dst payload ->
-                check_edge src dst;
-                let bits = measure payload in
-                meter ~bandwidth src dst bits;
-                direct src dst payload bits;
-                deliver ~src ~dst payload
-          | Some adv -> (
-              (* The coin stream is consulted per {e logical} message
-                 in delivery order, exactly as on a plain run, so
-                 faulted executions stay bit-identical with and
-                 without [?frugal]. Faulted copies are charged at full
-                 size (a sender cannot lean on silence over a lossy
-                 link), conservatively never under-counting. *)
-              fun ~bandwidth ~deliver src dst payload ->
-                check_edge src dst;
-                let bits = measure payload in
-                match Adversary.consult adv ~src ~dst with
-                | Adversary.Deliver ->
-                    meter ~bandwidth src dst bits;
-                    direct src dst payload bits;
-                    deliver ~src ~dst payload
-                | Adversary.Duplicate ->
-                    meter ~bandwidth src dst bits;
-                    charge src dst bits;
-                    deliver ~src ~dst payload;
-                    meter ~bandwidth src dst bits;
-                    charge src dst bits;
-                    deliver ~src ~dst payload;
-                    force src dst payload
-                | Adversary.Drop reason ->
-                    meter ~bandwidth src dst bits;
-                    charge src dst bits;
-                    invalidate src dst;
-                    incr dropped;
-                    incr r_dropped;
-                    if tracing && wants_sends then
-                      Trace.emit trace
-                        (Trace.Message_dropped
-                           { src; dst; round = !round; reason }))
-        in
-        (* One full-neighborhood broadcast: bulk logical metering, one
-           tree publish, and a collect mark per receiver (aggregated
-           into one physical message per receiver per round at
-           [flush_round]). Repeated broadcasts run the same silence
-           machine per broadcaster. *)
-        let broadcast ~bandwidth src dsts payload ~lo ~hi =
-          let bits = measure payload in
-          let cnt = hi - lo in
-          if tracing then begin
-            r_messages := !r_messages + cnt;
-            r_bits := !r_bits + (cnt * bits);
-            if bits > !r_max_bits then r_max_bits := bits
-          end;
-          messages := !messages + cnt;
-          total_bits := !total_bits + (cnt * bits);
-          if bits > !max_message_bits then max_message_bits := bits;
-          (match bandwidth with
-          | Some limit when bits > limit ->
-              if strict then
-                raise (Congest_violation { src; dst = dsts.(lo); bits })
-              else begin
-                congest_violations := !congest_violations + cnt;
-                if tracing then r_violations := !r_violations + cnt
-              end
-          | _ -> ());
-          if Array.length !b_msg = 0 then b_msg := Array.make (max n 1) payload;
-          let repeat =
-            b_round.(src) = !round - 1 && payload_eq !b_msg.(src) payload
-          in
-          let flag = Char.code (Bytes.get b_flag src) in
-          if repeat && flag land 1 = 1 then Frugal.note_suppressed fr 1
-          else begin
-            let pub_bits =
-              if repeat then begin
-                if flag land 2 = 0 then ipush vw vw_len src;
-                Bytes.set b_flag src (Char.chr (flag lor 3));
-                Frugal.note_marker fr;
-                2
-              end
-              else begin
-                if flag land 1 = 1 then
-                  Bytes.set b_flag src (Char.chr (flag land lnot 1));
-                Frugal.note_publish fr;
-                bits
-              end
-            in
-            charge src (Frugal.hub fr src) pub_bits;
+  let account_each ~bandwidth ~deliver src dsts msgs ~lo ~hi =
+    for i = lo to hi - 1 do
+      account ~bandwidth ~deliver src
+        (Array.unsafe_get dsts i)
+        (Array.unsafe_get msgs i)
+    done
+  in
+  let account_seg =
+    match (phys, adversary) with
+    | Some s, None ->
+        (* A broadcast is metered as one logical message per receiver
+           and handed to the physical stream as a whole. Collection
+           trees assume a reliable network; under an adversary every
+           message takes the per-edge path so the coin stream is
+           untouched. *)
+        fun ~bandwidth ~deliver src dsts msgs ~lo ~hi ->
+          if Frugal.is_broadcast s src dsts msgs ~lo ~hi then begin
+            let payload = Array.unsafe_get msgs lo in
+            let bits = measure payload in
             for i = lo to hi - 1 do
-              mark_collect (Array.unsafe_get dsts i) pub_bits
-            done
-          end;
-          b_round.(src) <- !round;
-          !b_msg.(src) <- payload
-        in
-        let account_seg =
-          match adversary with
-          | Some _ ->
-              (* Collection trees assume a reliable network; under an
-                 adversary every message takes the per-edge path so
-                 the coin stream is untouched. *)
-              fun ~bandwidth ~deliver src dsts msgs ~lo ~hi ->
-                for i = lo to hi - 1 do
-                  account ~bandwidth ~deliver src
-                    (Array.unsafe_get dsts i)
-                    (Array.unsafe_get msgs i)
-                done
-          | None ->
-              (* A segment is a broadcast when it spells out the whole
-                 neighbor row with one shared (physically equal)
-                 payload — which is what the protocols' broadcast
-                 helpers emit. Everything else takes the per-edge
-                 path. The broadcast test replaces the per-message
-                 [mem_edge] binary searches with one linear row
-                 comparison, which is where the frugal merge-path
-                 speedup comes from. *)
-              fun ~bandwidth ~deliver src dsts msgs ~lo ~hi ->
-                let slow () =
-                  for j = lo to hi - 1 do
-                    account ~bandwidth ~deliver src
-                      (Array.unsafe_get dsts j)
-                      (Array.unsafe_get msgs j)
-                  done
-                in
-                if hi - lo >= 2 then begin
-                  let p0 = Array.unsafe_get msgs lo in
-                  let shared = ref true in
-                  let i = ref (lo + 1) in
-                  while !shared && !i < hi do
-                    if Array.unsafe_get msgs !i != p0 then shared := false;
-                    incr i
-                  done;
-                  if
-                    !shared
-                    && Grapho.Ugraph.row_matches graph src dsts ~lo ~hi
-                  then begin
-                    broadcast ~bandwidth src dsts p0 ~lo ~hi;
-                    for j = lo to hi - 1 do
-                      deliver ~src ~dst:(Array.unsafe_get dsts j) p0
-                    done
-                  end
-                  else slow ()
-                end
-                else slow ()
-        in
-        let blocked =
-          match adversary with
-          | None -> fun _ _ -> false
-          | Some adv ->
-              fun src dst -> Adversary.blocks adv ~src ~dst <> None
-        in
-        let flush_round () =
-          let r = !round in
-          (* Close an [Auto] observation window: arm iff the marker
-             pair per silence run costs fewer physical messages than
-             the repeats it would silence (average run length > 2). *)
-          if (not !auto_decided) && r >= obs_window then begin
-            auto_decided := true;
-            let armed = !obs_repeats > 2 * !obs_runs in
-            suppress_on := armed;
-            Frugal.note_auto_decision fr ~armed
-          end;
-          (* Silences whose run ended this round pay their Eps marker
-             (skipped silently when the edge is crashed or cut — the
-             marker could not cross, and [blocks] reads no coins). *)
-          let w = ref 0 in
-          for i = 0 to !sw_len - 1 do
-            let slot = !sw_slot.(i) in
-            let flag = Char.code (Bytes.get !e_flag slot) in
-            if flag land 1 = 1 then
-              if !e_round.(slot) >= r then begin
-                !sw_slot.(!w) <- slot;
-                !sw_src.(!w) <- !sw_src.(i);
-                !sw_dst.(!w) <- !sw_dst.(i);
-                incr w
-              end
-              else begin
-                Bytes.set !e_flag slot '\000';
-                let src = !sw_src.(i) and dst = !sw_dst.(i) in
-                if not (blocked src dst) then begin
-                  charge src dst 2;
-                  Frugal.note_marker fr
-                end
-              end
-            else Bytes.set !e_flag slot (Char.chr (flag land lnot 2))
-          done;
-          sw_len := !w;
-          (* Same sweep for armed broadcasters. *)
-          let w = ref 0 in
-          for i = 0 to !vw_len - 1 do
-            let v = !vw.(i) in
-            let flag = Char.code (Bytes.get b_flag v) in
-            if flag land 1 = 1 then
-              if b_round.(v) >= r then begin
-                !vw.(!w) <- v;
-                incr w
-              end
-              else begin
-                Bytes.set b_flag v '\000';
-                charge v (Frugal.hub fr v) 2;
-                Frugal.note_marker fr;
-                Grapho.Ugraph.iter_neighbors
-                  (fun u -> mark_collect u 2)
-                  graph v
-              end
-            else Bytes.set b_flag v (Char.chr (flag land lnot 2))
-          done;
-          vw_len := !w;
-          (* Flush the aggregated collects: one physical message per
-             receiver that heard tree traffic this round, 2 header
-             bits plus everything fetched. [src = -1] marks the
-             receiver side of a tree, like [Phase]'s global -1. *)
-          for i = 0 to !cw_len - 1 do
-            let v = !cw.(i) in
-            charge (-1) v c_bits.(v);
-            Frugal.note_collect fr
-          done;
-          cw_len := 0
-        in
-        (account, account_seg, flush_round)
+              let dst = Array.unsafe_get dsts i in
+              meter ~bandwidth src dst bits;
+              deliver ~src ~dst payload
+            done;
+            Frugal.broadcast s ~round:!round src dsts ~lo ~hi payload bits
+          end
+          else account_each ~bandwidth ~deliver src dsts msgs ~lo ~hi
+    | _ -> account_each
+  in
+  let flush_round =
+    match phys with
+    | None -> fun () -> ()
+    | Some s -> fun () -> Frugal.flush_round s ~round:!round
   in
   let finish rounds ~steps ~crashed =
     {
@@ -777,30 +437,7 @@ let make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
     r_physical := 0;
     stat
   in
-  (trace, tracing, account, account_seg, finish, take_round, flush_round)
-
-(* Round 0 shared by both schedulers: initialize vertices in ascending
-   id order, draining the shared outbox after each init so delivery,
-   metric and trace side effects happen in exactly per-vertex ascending
-   order. The first vertex's state seeds the states array (no dummy
-   ['state] exists). *)
-let init_states ~n ~graph ~(spec : _ spec) ~out ~drain =
-  if n = 0 then [||]
-  else begin
-    let s0 =
-      spec.init ~n ~vertex:0
-        ~neighbors:(Grapho.Ugraph.neighbors graph 0) ~out
-    in
-    let states = Array.make n s0 in
-    drain 0;
-    for v = 1 to n - 1 do
-      states.(v) <-
-        spec.init ~n ~vertex:v
-          ~neighbors:(Grapho.Ugraph.neighbors graph v) ~out;
-      drain v
-    done;
-    states
-  end
+  (tracing, account_seg, finish, take_round, flush_round)
 
 (* Sparse activation ([?active]): the engine can run a spec on a
    restricted vertex set. Semantically the run IS the protocol on the
@@ -854,37 +491,29 @@ let filtered_neighbors ~graph ~pos v =
     graph v;
   arr
 
-(* Round 0 of a sparse run: same ascending-order init-and-drain
-   discipline as [init_states], over the active set, with each
-   vertex's neighbor array filtered to the active set. *)
-let init_states_sparse ~n ~graph ~(spec : _ spec) ~act ~pos ~out ~drain =
-  let a = Array.length act in
+(* Round 0 shared by both schedulers: initialize the [a] running
+   vertices in ascending id order, draining the shared outbox after
+   each init so delivery, metric and trace side effects happen in
+   exactly per-vertex ascending order. [vertex_of] maps a slot to its
+   vertex and [neighbors] is what each init is handed (filtered to the
+   active set on a sparse run). The first vertex's state seeds the
+   states array (no dummy ['state] exists). *)
+let init_states ~n ~a ~vertex_of ~neighbors ~(spec : _ spec) ~out ~drain =
+  let init slot =
+    let v = vertex_of slot in
+    let s = spec.init ~n ~vertex:v ~neighbors:(neighbors v) ~out in
+    drain v;
+    s
+  in
   if a = 0 then [||]
   else begin
-    let v0 = act.(0) in
-    let s0 =
-      spec.init ~n ~vertex:v0
-        ~neighbors:(filtered_neighbors ~graph ~pos v0)
-        ~out
-    in
-    let states = Array.make a s0 in
-    drain v0;
-    for i = 1 to a - 1 do
-      let v = act.(i) in
-      states.(i) <-
-        spec.init ~n ~vertex:v
-          ~neighbors:(filtered_neighbors ~graph ~pos v)
-          ~out;
-      drain v
+    let states = Array.make a (init 0) in
+    for slot = 1 to a - 1 do
+      states.(slot) <- init slot
     done;
     states
   end
 
-(* The retained reference path: step every vertex every round, rebuild
-   and sort every inbox from a per-round list. Kept deliberately
-   list-based (modulo the mailbox calling convention) so the
-   equivalence suite can diff the zero-allocation active scheduler
-   against an independently-structured implementation. *)
 (* Normalizing an empty-schedule adversary away keeps the [None] hot
    path byte-for-byte what it was before fault injection existed — the
    drop-p=0 ≡ no-adversary identity holds trivially. *)
@@ -892,152 +521,90 @@ let normalize_adversary = function
   | Some a when not (Adversary.has_faults a) -> None
   | a -> a
 
-let run_naive ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
-    ?adversary ?profile ?frugal ?active ~model ~graph spec =
-  let n = Grapho.Ugraph.n graph in
-  let adversary = normalize_adversary adversary in
-  (match adversary with Some a -> Adversary.reset a ~n | None -> ());
-  (* [a] vertices actually run; [slot] indexes the engine's arrays and
-     equals the vertex id on a dense run. *)
-  let sparse = active <> None in
-  let act = match active with Some act -> act | None -> [||] in
-  let a = if sparse then Array.length act else n in
-  let pos = if sparse then slot_of_vertex ~n act else [||] in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> 50 * (a + 5)
-  in
+(* What a scheduler contributes to the shared run skeleton ([run]):
+   its inbox store, its step order and its done tracking. Everything
+   else — round counting, tracing, profiling, fault activation,
+   accounting, termination bookkeeping — is written once in [run].
+   Engine arrays are slot-indexed ([slot] equals the vertex id on a
+   dense run). *)
+type ('state, 'msg) scheduler = {
+  push : src:int -> dst:int -> 'msg -> unit;
+      (* deliver one message into slot [dst]'s next-round inbox *)
+  next_round : unit -> unit;
+      (* last round's deliveries become this round's inboxes *)
+  crash : int -> unit;
+      (* crash-stop a slot: destroy its pending inbox, flag it done *)
+  step :
+    round:int -> 'state array -> out:'msg outbox -> drain:(int -> unit) ->
+    seg:(int -> int array -> 'msg array -> lo:int -> hi:int -> unit) ->
+    int;
+      (* step this round's vertices in ascending slot order, draining
+         their sends; returns how many were stepped *)
+  vertices_done : unit -> int;
+  quiescent : unit -> bool;
+      (* every running vertex is done and no message is in flight *)
+}
+
+(* The retained reference path: step every vertex every round, rebuild
+   and sort every inbox from a per-round list. Kept deliberately
+   list-based (modulo the mailbox calling convention) so the
+   equivalence suite can diff the zero-allocation active scheduler
+   against an independently-structured implementation. *)
+let naive ~a ~sparse ~act ~is_crashed ?profile (spec : _ spec) =
   let done_flags = Array.make a false in
   let inboxes = Array.make a [] in
-  let bandwidth = Model.bandwidth model in
+  let current = ref inboxes in
   let in_flight = ref 0 in
-  let round = ref 0 in
-  let profiling = profile <> None in
-  (match profile with Some p -> Profile.run_begin p | None -> ());
-  let trace, tracing, _account, account_seg, finish, take_round, flush_round =
-    make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
-      ~strict ~graph ~measure:spec.measure ()
-  in
-  let crashed_now () =
-    match adversary with None -> 0 | Some a -> Adversary.crashed_count a
-  in
-  let is_crashed =
-    match adversary with
-    | None -> fun _ -> false
-    | Some a -> fun v -> Adversary.is_crashed a v
-  in
-  let deliver =
-    if not sparse then fun ~src ~dst payload ->
-      incr in_flight;
-      inboxes.(dst) <- (src, payload) :: inboxes.(dst)
-    else fun ~src ~dst payload ->
-      let slot = pos.(dst) in
-      if slot < 0 then
-        invalid_arg
-          (Printf.sprintf "Engine: vertex %d sent to frozen vertex %d" src
-             dst);
-      incr in_flight;
-      inboxes.(slot) <- (src, payload) :: inboxes.(slot)
-  in
-  let out = outbox_create () in
-  let drain src =
-    account_seg ~bandwidth ~deliver src out.o_dst out.o_msg ~lo:0
-      ~hi:out.o_len;
-    out.o_len <- 0
-  in
   let scratch = inbox_create () in
-  let steps = ref 0 in
-  let count_done () =
-    Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 done_flags
-  in
-  let round_end t0 ~stepped =
-    flush_round ();
-    let t1 = if tracing || profiling then now_ns () else 0 in
-    (match profile with
-    | Some p -> Profile.round_span p ~round:!round ~t0 ~t1
-    | None -> ());
-    if tracing then
-      Trace.emit trace
-        (Trace.Round_end
-           (take_round ~stepped ~vdone:(count_done ())
-              ~crashed:(crashed_now ()) ~elapsed_ns:(t1 - t0) !round))
-  in
-  (* Round 0: init everyone (active vertices only on a sparse run). *)
-  if tracing then Trace.emit trace (Trace.Round_begin 0);
-  let t0 = if tracing || profiling then now_ns () else 0 in
-  let states =
-    if sparse then init_states_sparse ~n ~graph ~spec ~act ~pos ~out ~drain
-    else init_states ~n ~graph ~spec ~out ~drain
-  in
-  steps := a;
-  round_end t0 ~stepped:a;
-  let all_done () = Array.for_all (fun f -> f) done_flags in
-  let finished = ref (a = 0) in
-  while not !finished do
-    incr round;
-    if !round > max_rounds then
-      failwith
-        (Printf.sprintf "Engine.run: no termination within %d rounds"
-           max_rounds);
-    if tracing then Trace.emit trace (Trace.Round_begin !round);
-    let t0 = if tracing || profiling then now_ns () else 0 in
-    (* Activate scheduled faults for this round before the inbox
-       snapshot: a vertex crash-stopped at round [r] loses the
-       messages that were about to arrive at [r] and never steps
-       again (deliveries to it are dropped at [consult] time, so it
-       stays quiet forever). *)
-    (match adversary with
-    | None -> ()
-    | Some adv ->
-        Adversary.begin_round adv ~round:!round (fun kind ->
-            (match kind with
-            | Trace.Crash v ->
-                (* On a sparse run the engine arrays are slot-indexed;
-                   a crash scheduled at a frozen vertex touches no
-                   engine state (the vertex was never running — the
-                   adversary still drops traffic addressed to it, of
-                   which there is none). *)
-                let slot = if sparse then pos.(v) else v in
-                if slot >= 0 then begin
-                  inboxes.(slot) <- [];
-                  done_flags.(slot) <- true
-                end
-            | Trace.Cut _ | Trace.Restore _ -> ());
-            if tracing then
-              Trace.emit trace (Trace.Fault_injected { round = !round; kind })));
-    (* Snapshot and clear inboxes so this round's sends arrive next
-       round. *)
-    let current = Array.copy inboxes in
-    Array.fill inboxes 0 a [];
-    in_flight := 0;
-    let stepped = ref 0 in
-    for slot = 0 to a - 1 do
-      let v = if sparse then act.(slot) else slot in
-      if not (is_crashed v) then begin
-        incr stepped;
-        (* Monomorphic sort key: sources are ints, so the polymorphic
-           [compare] the original loop used is pure overhead here. *)
-        let sorted =
-          List.sort (fun (a, _) (b, _) -> Int.compare a b) current.(slot)
-        in
-        inbox_clear scratch;
-        List.iter (fun (s, m) -> inbox_push scratch ~src:s m) sorted;
-        (match profile with
-        | Some p -> Profile.record_inbox p scratch.i_len
-        | None -> ());
-        let state, status =
-          spec.step ~round:!round ~vertex:v states.(slot) scratch ~out
-        in
-        states.(slot) <- state;
-        done_flags.(slot) <- (status = `Done);
-        drain v
-      end
-    done;
-    steps := !steps + !stepped;
-    round_end t0 ~stepped:!stepped;
-    if all_done () && !in_flight = 0 then finished := true
-  done;
-  (match profile with Some p -> Profile.run_end p | None -> ());
-  (states, finish !round ~steps:!steps ~crashed:(crashed_now ()))
+  {
+    push =
+      (fun ~src ~dst payload ->
+        incr in_flight;
+        inboxes.(dst) <- (src, payload) :: inboxes.(dst));
+    next_round =
+      (fun () ->
+        (* Snapshot and clear inboxes so this round's sends arrive
+           next round. *)
+        current := Array.copy inboxes;
+        Array.fill inboxes 0 a [];
+        in_flight := 0);
+    crash =
+      (fun slot ->
+        !current.(slot) <- [];
+        done_flags.(slot) <- true);
+    step =
+      (fun ~round states ~out ~drain ~seg:_ ->
+        let stepped = ref 0 in
+        for slot = 0 to a - 1 do
+          let v = if sparse then act.(slot) else slot in
+          if not (is_crashed v) then begin
+            incr stepped;
+            (* Monomorphic sort key: sources are ints, so the
+               polymorphic [compare] the original loop used is pure
+               overhead here. *)
+            let sorted =
+              List.sort (fun (a, _) (b, _) -> Int.compare a b) !current.(slot)
+            in
+            inbox_clear scratch;
+            List.iter (fun (s, m) -> inbox_push scratch ~src:s m) sorted;
+            (match profile with
+            | Some p -> Profile.record_inbox p scratch.i_len
+            | None -> ());
+            let state, status =
+              spec.step ~round ~vertex:v states.(slot) scratch ~out
+            in
+            states.(slot) <- state;
+            done_flags.(slot) <- (status = `Done);
+            drain v
+          end
+        done;
+        !stepped);
+    vertices_done =
+      (fun () ->
+        Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 done_flags);
+    quiescent =
+      (fun () -> Array.for_all (fun f -> f) done_flags && !in_flight = 0);
+  }
 
 (* The event-driven path: a vertex is stepped only while it has
    pending messages or has not signalled [`Done]. Correct whenever the
@@ -1071,36 +638,19 @@ let run_naive ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
    a strict [Congest_violation] or a non-neighbor [Invalid_argument]
    is raised at merge time, after the whole round has been stepped,
    rather than mid-round. *)
-let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
-    ?(par = 1) ?adversary ?profile ?frugal ?active ~model ~graph spec =
-  let n = Grapho.Ugraph.n graph in
-  let adversary = normalize_adversary adversary in
-  (match adversary with Some a -> Adversary.reset a ~n | None -> ());
-  (* [a] vertices actually run; [slot] indexes every engine array and
-     equals the vertex id on a dense run, so the dense path costs one
-     predictable branch per stepped vertex and nothing else. *)
-  let sparse = active <> None in
-  let act = match active with Some act -> act | None -> [||] in
-  let a = if sparse then Array.length act else n in
-  let pos = if sparse then slot_of_vertex ~n act else [||] in
+let active ~a ~sparse ~act ~par ?profile ~graph (spec : _ spec) =
   let par = max 1 (min par a) in
   let pool = if par > 1 then Some (Pool.get par) else None in
   (* Shard count actually used per round. *)
   let k = match pool with None -> 1 | Some p -> min par (Pool.size p) in
-  let profiling = profile <> None in
-  (match profile with
-  | Some p ->
-      Profile.run_begin p;
-      if pool <> None then Profile.ensure_shards p k
-  | None -> ());
+  (match (profile, pool) with
+  | Some p, Some _ -> Profile.ensure_shards p k
+  | _ -> ());
   (* Per-shard scratch, allocated once and reused every round. *)
   let shard_out = Array.init k (fun _ -> outbox_create ()) in
   let shard_seg = Array.init k (fun _ -> seg_make ()) in
   let shard_stepped = Array.make k 0 in
   let shard_delta = Array.make k 0 in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> 50 * (a + 5)
-  in
   let done_flags = Array.make a false in
   (* Degree in the full graph is an upper bound on the induced degree,
      so the hint stays valid on sparse runs. *)
@@ -1110,39 +660,220 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
   let bank_a = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
   let bank_b = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
   let cur = ref bank_a and next = ref bank_b in
-  let bandwidth = Model.bandwidth model in
   let pending = ref 0 in (* messages sitting in [next] *)
   let not_done = ref a in
+  (* Record a step's verdict; returns the change in the not-done
+     count. *)
+  let settle slot status =
+    match status with
+    | `Done ->
+        if done_flags.(slot) then 0
+        else begin
+          done_flags.(slot) <- true;
+          -1
+        end
+    | `Continue ->
+        if done_flags.(slot) then begin
+          done_flags.(slot) <- false;
+          1
+        end
+        else 0
+  in
+  let step_seq ~round states ~out ~drain =
+    let bank = !cur in
+    let stepped = ref 0 in
+    for slot = 0 to a - 1 do
+      let b = bank.(slot) in
+      if b.i_len > 0 || not done_flags.(slot) then begin
+        let v = if sparse then Array.unsafe_get act slot else slot in
+        incr stepped;
+        (match profile with
+        | Some p -> Profile.record_inbox p b.i_len
+        | None -> ());
+        let state, status = spec.step ~round ~vertex:v states.(slot) b ~out in
+        b.i_len <- 0;
+        states.(slot) <- state;
+        not_done := !not_done + settle slot status;
+        drain v
+      end
+    done;
+    !stepped
+  in
+  let step_par pool ~round states ~seg =
+    let bank = !cur in
+    (* Parallel phase: step shards concurrently; touch only disjoint
+       per-vertex slots and per-shard scratch. Shards cut the slot
+       range, which on a sparse run is the ascending active order, so
+       the serial merge below still replays side effects in ascending
+       vertex id. *)
+    Pool.run pool ~shards:k ~n:a (fun ~lo ~hi ~shard ->
+        (* Shards stamp their own clocks and record inbox sizes into
+           disjoint profile slots; the merge below flushes them on the
+           calling thread. *)
+        (match profile with
+        | Some p -> Profile.shard_begin p ~shard
+        | None -> ());
+        let sout = shard_out.(shard) in
+        sout.o_len <- 0;
+        let sg = shard_seg.(shard) in
+        sg.s_len <- 0;
+        let st = ref 0 in
+        let delta = ref 0 in
+        for slot = lo to hi - 1 do
+          let b = bank.(slot) in
+          if b.i_len > 0 || not done_flags.(slot) then begin
+            let v = if sparse then Array.unsafe_get act slot else slot in
+            incr st;
+            (match profile with
+            | Some p -> Profile.record_shard_inbox p ~shard b.i_len
+            | None -> ());
+            let before = sout.o_len in
+            let state, status =
+              spec.step ~round ~vertex:v states.(slot) b ~out:sout
+            in
+            b.i_len <- 0;
+            states.(slot) <- state;
+            delta := !delta + settle slot status;
+            (* Draining an empty outbox is a no-op, so vertices that
+               sent nothing can be skipped in the merge. The segment
+               records the global vertex id: the merge's accounting
+               validates sends against the full graph. *)
+            let cnt = sout.o_len - before in
+            if cnt > 0 then seg_push sg v cnt
+          end
+        done;
+        shard_stepped.(shard) <- !st;
+        shard_delta.(shard) <- !delta;
+        match profile with
+        | Some p -> Profile.shard_end p ~shard
+        | None -> ());
+    let merge_t0 = match profile with Some _ -> now_ns () | None -> 0 in
+    (* Serial merge, in ascending vertex id (shards are contiguous
+       ascending ranges and each shard outbox is the in-order
+       concatenation of its vertices' sends): exactly the side-effect
+       order of the sequential loop. *)
+    let stepped = ref 0 in
+    for s = 0 to k - 1 do
+      stepped := !stepped + shard_stepped.(s);
+      not_done := !not_done + shard_delta.(s);
+      let sout = shard_out.(s) in
+      let sg = shard_seg.(s) in
+      let off = ref 0 in
+      for i = 0 to sg.s_len - 1 do
+        let stop = !off + sg.s_cnt.(i) in
+        seg sg.s_v.(i) sout.o_dst sout.o_msg ~lo:!off ~hi:stop;
+        off := stop
+      done;
+      sout.o_len <- 0;
+      sg.s_len <- 0
+    done;
+    (match profile with
+    | Some p ->
+        Profile.merge_span p ~round ~shards:k ~t0:merge_t0 ~t1:(now_ns ())
+    | None -> ());
+    !stepped
+  in
+  {
+    push =
+      (fun ~src ~dst payload ->
+        incr pending;
+        inbox_push !next.(dst) ~src payload);
+    next_round =
+      (fun () ->
+        (* Swap banks: this round's sends accumulate in the other bank
+           and arrive next round. *)
+        let t = !cur in
+        cur := !next;
+        next := t;
+        pending := 0);
+    crash =
+      (fun slot ->
+        !cur.(slot).i_len <- 0;
+        if not done_flags.(slot) then begin
+          done_flags.(slot) <- true;
+          decr not_done
+        end);
+    step =
+      (match pool with
+      | None -> fun ~round states ~out ~drain ~seg:_ ->
+          step_seq ~round states ~out ~drain
+      | Some pool -> fun ~round states ~out:_ ~drain:_ ~seg ->
+          step_par pool ~round states ~seg);
+    vertices_done = (fun () -> a - !not_done);
+    quiescent = (fun () -> !not_done = 0 && !pending = 0);
+  }
+
+let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
+    ?(par = 1) ?adversary ?profile ?frugal ?active:act_opt ~model ~graph spec =
+  let n = Grapho.Ugraph.n graph in
+  validate_active ~n act_opt;
+  (* Frugal keys per-edge suppression machines on the full graph and
+     would silently mis-account against an induced subgraph — reject
+     rather than guess a semantics. The adversary, by contrast,
+     composes: its coin stream is consulted once per delivered message
+     in merge order (unchanged by sparsity), fraction crashes resolve
+     over the full n, and a crash landing on a frozen vertex is a no-op
+     (the vertex was never running). *)
+  if act_opt <> None && frugal <> None then
+    invalid_arg "Engine: ?active is incompatible with ?frugal";
+  let adversary = normalize_adversary adversary in
+  (match adversary with Some a -> Adversary.reset a ~n | None -> ());
+  (* [a] vertices actually run; [slot] indexes every engine array and
+     equals the vertex id on a dense run, so the dense path costs one
+     predictable branch per stepped vertex and nothing else. *)
+  let sparse = act_opt <> None in
+  let act = match act_opt with Some act -> act | None -> [||] in
+  let a = if sparse then Array.length act else n in
+  let pos = if sparse then slot_of_vertex ~n act else [||] in
+  let max_rounds =
+    match max_rounds with Some r -> r | None -> 50 * (a + 5)
+  in
+  let profiling = profile <> None in
+  (match profile with Some p -> Profile.run_begin p | None -> ());
+  let sch =
+    match sched with
+    | `Naive ->
+        (* The reference path stays single-domain by design: it is the
+           thing the parallel path is diffed against. *)
+        let is_crashed =
+          match adversary with
+          | None -> fun _ -> false
+          | Some a -> fun v -> Adversary.is_crashed a v
+        in
+        naive ~a ~sparse ~act ~is_crashed ?profile spec
+    | `Active -> active ~a ~sparse ~act ~par ?profile ~graph spec
+  in
   let round = ref 0 in
-  let trace, tracing, _account, account_seg, finish, take_round, flush_round =
-    make_accounting ?observer ?adversary ?profile ?frugal ~trace ~round
-      ~strict ~graph ~measure:spec.measure ()
+  let tracing, account_seg, finish, take_round, flush_round =
+    make_accounting ?adversary ?profile ?frugal ~trace ~round ~strict ~graph
+      ~measure:spec.measure ()
   in
   let crashed_now () =
     match adversary with None -> 0 | Some a -> Adversary.crashed_count a
   in
+  let bandwidth = Model.bandwidth model in
   let deliver =
-    if not sparse then fun ~src ~dst payload ->
-      incr pending;
-      inbox_push !next.(dst) ~src payload
+    if not sparse then sch.push
     else fun ~src ~dst payload ->
       let slot = pos.(dst) in
       if slot < 0 then
         invalid_arg
           (Printf.sprintf "Engine: vertex %d sent to frozen vertex %d" src
              dst);
-      incr pending;
-      inbox_push !next.(slot) ~src payload
+      sch.push ~src ~dst:slot payload
   in
-  let account_seg src dsts msgs ~lo ~hi =
+  let seg src dsts msgs ~lo ~hi =
     account_seg ~bandwidth ~deliver src dsts msgs ~lo ~hi
   in
   let out = outbox_create ~hint:(Grapho.Ugraph.max_degree graph) () in
   let drain src =
-    account_seg src out.o_dst out.o_msg ~lo:0 ~hi:out.o_len;
+    seg src out.o_dst out.o_msg ~lo:0 ~hi:out.o_len;
     out.o_len <- 0
   in
-  let steps = ref 0 in
+  let round_begin () =
+    if tracing then Trace.emit trace (Trace.Round_begin !round);
+    if tracing || profiling then now_ns () else 0
+  in
   let round_end t0 ~stepped =
     flush_round ();
     let t1 = if tracing || profiling then now_ns () else 0 in
@@ -1152,18 +883,21 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
     if tracing then
       Trace.emit trace
         (Trace.Round_end
-           (take_round ~stepped ~vdone:(a - !not_done)
+           (take_round ~stepped ~vdone:(sch.vertices_done ())
               ~crashed:(crashed_now ()) ~elapsed_ns:(t1 - t0) !round))
   in
   (* Round 0: init everyone (always sequential; active vertices only
      on a sparse run). *)
-  if tracing then Trace.emit trace (Trace.Round_begin 0);
-  let t0 = if tracing || profiling then now_ns () else 0 in
+  let t0 = round_begin () in
   let states =
-    if sparse then init_states_sparse ~n ~graph ~spec ~act ~pos ~out ~drain
-    else init_states ~n ~graph ~spec ~out ~drain
+    if sparse then
+      init_states ~n ~a ~vertex_of:(Array.get act)
+        ~neighbors:(filtered_neighbors ~graph ~pos) ~spec ~out ~drain
+    else
+      init_states ~n ~a ~vertex_of:Fun.id
+        ~neighbors:(Grapho.Ugraph.neighbors graph) ~spec ~out ~drain
   in
-  steps := a;
+  let steps = ref a in
   round_end t0 ~stepped:a;
   let finished = ref (a = 0) in
   while not !finished do
@@ -1172,231 +906,35 @@ let run_active ?max_rounds ?(strict = false) ?observer ?(trace = Trace.null)
       failwith
         (Printf.sprintf "Engine.run: no termination within %d rounds"
            max_rounds);
-    if tracing then Trace.emit trace (Trace.Round_begin !round);
-    let t0 = if tracing || profiling then now_ns () else 0 in
-    (* Swap banks: this round's sends accumulate in the other bank and
-       arrive next round. *)
-    let t = !cur in
-    cur := !next;
-    next := t;
-    pending := 0;
-    let bank = !cur in
+    let t0 = round_begin () in
+    sch.next_round ();
     (* Fault activation happens on the calling domain, before any
-       stepping (sequential or parallel): a crash-stopped vertex's
-       pending inbox is destroyed and it is flagged done, so the step
-       condition below never wakes it again (deliveries to it are
-       dropped at [consult] time). The pool barrier publishes these
-       writes to the shards, and the order is identical for any shard
-       count. *)
+       stepping (sequential or parallel): a vertex crash-stopped at
+       round [r] loses the messages that were about to arrive at [r],
+       is flagged done and never steps again (deliveries to it are
+       dropped at [consult] time, so it stays quiet forever). The pool
+       barrier publishes these writes to the shards, and the order is
+       identical for any scheduler and shard count. *)
     (match adversary with
     | None -> ()
     | Some adv ->
         Adversary.begin_round adv ~round:!round (fun kind ->
             (match kind with
             | Trace.Crash v ->
-                (* Slot-indexed engine arrays: a crash at a frozen
-                   vertex of a sparse run touches no engine state. *)
+                (* On a sparse run the engine arrays are slot-indexed;
+                   a crash scheduled at a frozen vertex touches no
+                   engine state (the vertex was never running — the
+                   adversary still drops traffic addressed to it, of
+                   which there is none). *)
                 let slot = if sparse then pos.(v) else v in
-                if slot >= 0 then begin
-                  bank.(slot).i_len <- 0;
-                  if not done_flags.(slot) then begin
-                    done_flags.(slot) <- true;
-                    decr not_done
-                  end
-                end
+                if slot >= 0 then sch.crash slot
             | Trace.Cut _ | Trace.Restore _ -> ());
             if tracing then
               Trace.emit trace (Trace.Fault_injected { round = !round; kind })));
-    let stepped = ref 0 in
-    (match pool with
-    | None ->
-        for slot = 0 to a - 1 do
-          let b = bank.(slot) in
-          if b.i_len > 0 || not done_flags.(slot) then begin
-            let v = if sparse then Array.unsafe_get act slot else slot in
-            incr stepped;
-            (match profile with
-            | Some p -> Profile.record_inbox p b.i_len
-            | None -> ());
-            let state, status =
-              spec.step ~round:!round ~vertex:v states.(slot) b ~out
-            in
-            b.i_len <- 0;
-            states.(slot) <- state;
-            (match status with
-            | `Done -> if not done_flags.(slot) then begin
-                done_flags.(slot) <- true;
-                decr not_done
-              end
-            | `Continue -> if done_flags.(slot) then begin
-                done_flags.(slot) <- false;
-                incr not_done
-              end);
-            drain v
-          end
-        done
-    | Some pool ->
-        let r = !round in
-        (* Parallel phase: step shards concurrently; touch only
-           disjoint per-vertex slots and per-shard scratch. Shards cut
-           the slot range, which on a sparse run is the ascending
-           active order, so the serial merge below still replays side
-           effects in ascending vertex id. *)
-        Pool.run pool ~shards:k ~n:a (fun ~lo ~hi ~shard ->
-            (* Shards stamp their own clocks and record inbox sizes
-               into disjoint profile slots; the merge below flushes
-               them on the calling thread. *)
-            (match profile with
-            | Some p -> Profile.shard_begin p ~shard
-            | None -> ());
-            let sout = shard_out.(shard) in
-            sout.o_len <- 0;
-            let seg = shard_seg.(shard) in
-            seg.s_len <- 0;
-            let st = ref 0 in
-            let delta = ref 0 in
-            for slot = lo to hi - 1 do
-              let b = bank.(slot) in
-              if b.i_len > 0 || not done_flags.(slot) then begin
-                let v = if sparse then Array.unsafe_get act slot else slot in
-                incr st;
-                (match profile with
-                | Some p -> Profile.record_shard_inbox p ~shard b.i_len
-                | None -> ());
-                let before = sout.o_len in
-                let state, status =
-                  spec.step ~round:r ~vertex:v states.(slot) b ~out:sout
-                in
-                b.i_len <- 0;
-                states.(slot) <- state;
-                (match status with
-                | `Done ->
-                    if not done_flags.(slot) then begin
-                      done_flags.(slot) <- true;
-                      decr delta
-                    end
-                | `Continue ->
-                    if done_flags.(slot) then begin
-                      done_flags.(slot) <- false;
-                      incr delta
-                    end);
-                (* Draining an empty outbox is a no-op, so vertices
-                   that sent nothing can be skipped in the merge. The
-                   segment records the global vertex id: the merge's
-                   accounting validates sends against the full
-                   graph. *)
-                let cnt = sout.o_len - before in
-                if cnt > 0 then seg_push seg v cnt
-              end
-            done;
-            shard_stepped.(shard) <- !st;
-            shard_delta.(shard) <- !delta;
-            (match profile with
-            | Some p -> Profile.shard_end p ~shard
-            | None -> ()));
-        let merge_t0 =
-          match profile with Some _ -> now_ns () | None -> 0
-        in
-        (* Serial merge, in ascending vertex id (shards are contiguous
-           ascending ranges and each shard outbox is the in-order
-           concatenation of its vertices' sends): exactly the
-           side-effect order of the sequential loop. *)
-        for s = 0 to k - 1 do
-          stepped := !stepped + shard_stepped.(s);
-          not_done := !not_done + shard_delta.(s);
-          let sout = shard_out.(s) in
-          let seg = shard_seg.(s) in
-          let off = ref 0 in
-          for i = 0 to seg.s_len - 1 do
-            let v = seg.s_v.(i) in
-            let stop = !off + seg.s_cnt.(i) in
-            account_seg v sout.o_dst sout.o_msg ~lo:!off ~hi:stop;
-            off := stop
-          done;
-          sout.o_len <- 0;
-          seg.s_len <- 0
-        done;
-        match profile with
-        | Some p ->
-            Profile.merge_span p ~round:!round ~shards:k ~t0:merge_t0
-              ~t1:(now_ns ())
-        | None -> ());
-    steps := !steps + !stepped;
-    round_end t0 ~stepped:!stepped;
-    if !not_done = 0 && !pending = 0 then finished := true
+    let stepped = sch.step ~round:!round states ~out ~drain ~seg in
+    steps := !steps + stepped;
+    round_end t0 ~stepped;
+    if sch.quiescent () then finished := true
   done;
   (match profile with Some p -> Profile.run_end p | None -> ());
   (states, finish !round ~steps:!steps ~crashed:(crashed_now ()))
-
-(* Benchmarking shim: identical results and scheduling, pre-mailbox
-   allocation profile. Each step first materializes the [(src, msg)]
-   list inbox the pre-mailbox engine handed to protocols (one tuple
-   and one cons cell per delivered message, plus the per-step sort),
-   and every send goes through a send-record list rebuilt from a
-   scratch outbox (one 2-field record and one cons cell per message)
-   before being replayed into the engine's real outbox. This is the
-   "before" side of the allocation A/B in the perf trajectory. *)
-type 'msg legacy_send = { ls_dst : int; ls_payload : 'msg }
-
-let legacy_cost_spec (spec : ('s, 'm) spec) : ('s, 'm) spec =
-  let scratch = outbox_create () in
-  let collect () =
-    let acc = ref [] in
-    outbox_iter
-      (fun ~dst m -> acc := { ls_dst = dst; ls_payload = m } :: !acc)
-      scratch;
-    outbox_clear scratch;
-    List.rev !acc
-  in
-  let replay out sends =
-    List.iter (fun s -> emit out ~dst:s.ls_dst s.ls_payload) sends
-  in
-  {
-    init =
-      (fun ~n ~vertex ~neighbors ~out ->
-        let st = spec.init ~n ~vertex ~neighbors ~out:scratch in
-        replay out (collect ());
-        st);
-    step =
-      (fun ~round ~vertex st inbox ~out ->
-        let lst =
-          inbox_fold (fun acc ~src m -> (src, m) :: acc) [] inbox
-        in
-        let lst = List.sort (fun (a, _) (b, _) -> compare a b) lst in
-        ignore (Sys.opaque_identity lst);
-        let st', status = spec.step ~round ~vertex st inbox ~out:scratch in
-        replay out (collect ());
-        (st', status));
-    measure = spec.measure;
-  }
-
-let run ?max_rounds ?strict ?observer ?trace ?(sched = `Active) ?par ?adversary
-    ?profile ?frugal ?active ~model ~graph spec =
-  (match active with
-  | None -> ()
-  | Some _ ->
-      validate_active ~n:(Grapho.Ugraph.n graph) active;
-      (* Frugal keys per-edge suppression machines on the full graph
-         and would silently mis-account against an induced subgraph —
-         reject rather than guess a semantics.  The adversary, by
-         contrast, composes: its coin stream is consulted once per
-         delivered message in merge order (unchanged by sparsity),
-         fraction crashes resolve over the full n, and a crash landing
-         on a frozen vertex is a no-op (the vertex was never running). *)
-      if frugal <> None then
-        invalid_arg "Engine: ?active is incompatible with ?frugal");
-  match sched with
-  | `Naive ->
-      (* The reference path stays single-domain by design: it is the
-         thing the parallel path is diffed against. *)
-      run_naive ?max_rounds ?strict ?observer ?trace ?adversary ?profile
-        ?frugal ?active ~model ~graph spec
-  | `Active ->
-      run_active ?max_rounds ?strict ?observer ?trace ?par ?adversary ?profile
-        ?frugal ?active ~model ~graph spec
-  | `Active_legacy_cost ->
-      (* [scratch] in the shim is shared across vertices, so this
-         variant must stay single-domain; it exists for the bench
-         binary's allocation A/B, not for parallel runs. *)
-      run_active ?max_rounds ?strict ?observer ?trace ?adversary ?profile
-        ?frugal ?active ~model ~graph (legacy_cost_spec spec)

@@ -95,13 +95,14 @@ type metrics = {
   congest_violations : int;
       (** messages exceeding the CONGEST bandwidth (0 under LOCAL) *)
   steps : int;
-      (** total vertex activations: the [n] inits plus one per
-          [spec.step] invocation. Under [`Naive] this is exactly
-          [n * (rounds + 1)] on a fault-free run (crash-stopped
+      (** total vertex activations: one init per running vertex plus
+          one per [spec.step] invocation. The running vertices are
+          the [|active|] listed ones on a sparse run, all [n]
+          otherwise. Under [`Naive] this is exactly
+          [|active| * (rounds + 1)] on a fault-free run (crash-stopped
           vertices are no longer stepped); under [`Active] it is the
           work the event-driven scheduler actually did, so the
-          difference is the scheduler's saving, now a first-class
-          number. *)
+          difference is the scheduler's saving. *)
   dropped : int;
       (** messages the adversary destroyed (random drop, crashed
           endpoint, or cut link). Dropped messages still count in
@@ -150,7 +151,7 @@ val metrics_logical_eq : metrics -> metrics -> bool
     keeps bit-identical to a plain run of the same spec. The frugal
     A/B gates are stated in this equality. *)
 
-type sched = [ `Active | `Active_legacy_cost | `Naive ]
+type sched = [ `Active | `Naive ]
 (** Scheduling strategy. [`Active] (the default) is event-driven: a
     vertex is stepped in a round only if it has pending inbox messages
     or has not signalled [`Done]; inboxes are insertion-ordered
@@ -161,16 +162,15 @@ type sched = [ `Active | `Active_legacy_cost | `Naive ]
     it on an empty inbox must leave its state unchanged, emit nothing
     and return [`Done] again (a woken vertex may of course resume with
     [`Continue]). [`Naive] retains the original step-everyone loop
-    with per-round rebuilt-and-sorted inboxes as a reference for
-    differential testing ([test/test_engine_sched.ml]).
+    with per-round rebuilt-and-sorted list inboxes as an independently
+    structured reference for differential testing
+    ([test/test_engine_sched.ml]).
 
-    [`Active_legacy_cost] is the [`Active] scheduler with a
-    benchmarking shim interposed that reproduces the pre-mailbox
-    allocation profile — every step materializes a sorted
-    [(src, msg) list] inbox and routes sends through a send-record
-    list before replaying them. Identical results and deterministic
-    metrics; exists as the "before" side of the allocation A/B in the
-    bench binary. Single-domain only ([par] is ignored). *)
+    Both schedulers run inside one shared skeleton: round counting and
+    the [max_rounds] check, tracing, profiling, fault activation and
+    the per-message accounting are the same code. They differ only in
+    how inboxes are stored, which vertices a round steps, and how done
+    flags are tracked. *)
 
 type ('state, 'msg) spec = {
   init :
@@ -196,7 +196,6 @@ exception Congest_violation of { src : int; dst : int; bits : int }
 val run :
   ?max_rounds:int ->
   ?strict:bool ->
-  ?observer:(src:int -> dst:int -> bits:int -> unit) ->
   ?trace:Trace.sink ->
   ?sched:sched ->
   ?par:int ->
@@ -213,15 +212,14 @@ val run :
     stream: [Round_begin]/[Round_end] around every round (round 0 is
     initialization) with per-round message counts, bit volumes,
     stepped-vertex counts, wall-clock time and minor-words allocated,
-    plus one [Send] per wire message when the sink wants them.
-    [observer] is the legacy per-message callback — internally a
-    [Send]-only sink tee'd onto [trace] — that the two-party
-    simulation harness uses to meter the bits crossing the Alice/Bob
-    cut. [strict] (default [false]) raises {!Congest_violation} on the
+    plus one [Send] per wire message when the sink wants them. A
+    per-message callback is a [Send]-only sink ({!Trace.of_observer});
+    the two-party simulation harness meters the bits crossing the
+    Alice/Bob cut that way. [strict] (default [false]) raises {!Congest_violation} on the
     first oversized message instead of merely counting it. [sched]
     picks the scheduling strategy (default [`Active]). Sending to a
     non-neighbor raises [Invalid_argument]. [max_rounds] defaults to
-    [50 * (n + 5)]. Raises [Failure] if the round limit is hit before
+    [50 * (n + 5)] ([|active|] replaces [n] on a sparse run). Raises [Failure] if the round limit is hit before
     global termination.
 
     [par] (default 1) is the number of domains used to step each

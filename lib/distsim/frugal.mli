@@ -22,8 +22,9 @@
     over its members in ascending id order, so tree degrees never
     exceed 3 and two [create] calls with equal inputs agree exactly.
 
-    All per-run payload-typed scratch lives inside [Engine.run]; a
-    [t] is safely reused across runs and schedulers. The {!stats}
+    All per-run payload-typed scratch lives in a {!stream}, created
+    afresh by every [Engine.run]; a [t] is safely reused across runs
+    and schedulers. The {!stats}
     counters accumulate across every run the value observes, like a
     [Profile.t] — call {!reset_stats} between A/B measurements. *)
 
@@ -92,8 +93,8 @@ val tree_count : t -> int
 
 (** {1 Physical-stream counters}
 
-    Maintained by the engine; read them after a run for the frugality
-    breakdown the bench reports. All deterministic. *)
+    Maintained by the physical {!stream}; read them after a run for
+    the frugality breakdown the bench reports. All deterministic. *)
 
 val publishes : t -> int
 (** Broadcast payloads injected into collection trees. *)
@@ -116,12 +117,48 @@ val auto_disarmed : t -> int
 
 val reset_stats : t -> unit
 
-(** {1 Engine hooks}
+(** {1 The per-run physical stream}
 
-    Called by [Engine.run]; user code normally never calls these. *)
+    [Engine.run ?frugal] creates one stream per run and hands it the
+    physical side of every logical message it meters; user code
+    normally never calls these. Every wire message the stream decides
+    to send is reported through the [charge] callback as
+    [charge src dst bits] ([src = -1] for an aggregated collect). *)
 
-val note_publish : t -> unit
-val note_collect : t -> unit
-val note_suppressed : t -> int -> unit
-val note_marker : t -> unit
-val note_auto_decision : t -> armed:bool -> unit
+type 'msg stream
+
+val stream :
+  t ->
+  charge:(int -> int -> int -> unit) ->
+  blocked:(int -> int -> bool) ->
+  'msg stream
+(** Fresh per-run scratch for [t] on {!graph}[ t]. [blocked src dst]
+    tells whether the link is crashed or cut this round; an
+    end-of-silence marker is not charged over a blocked link. *)
+
+val direct : 'msg stream -> round:int -> int -> int -> 'msg -> int -> unit
+(** [direct s ~round src dst payload bits]: one reliably delivered
+    point-to-point send, run through the per-edge silence machine. *)
+
+val duplicate : 'msg stream -> round:int -> int -> int -> 'msg -> int -> unit
+(** Both copies of an adversarially duplicated send, charged at full
+    size; the edge's silence is released. *)
+
+val drop : 'msg stream -> int -> int -> int -> unit
+(** [drop s src dst bits]: a dropped send, charged at full size; the
+    edge's silence memo is invalidated. *)
+
+val is_broadcast :
+  'msg stream -> int -> int array -> 'msg array -> lo:int -> hi:int -> bool
+(** Whether the outbox segment [lo, hi) of sender [src] spells out its
+    whole neighbor row with one physically shared payload. *)
+
+val broadcast :
+  'msg stream -> round:int -> int -> int array -> lo:int -> hi:int ->
+  'msg -> int -> unit
+(** The physical side of a segment {!is_broadcast} accepted: one tree
+    publish (or silence) plus a collect mark per receiver. *)
+
+val flush_round : 'msg stream -> round:int -> unit
+(** End of round [round]: close an [Auto] window, pay the end-of-silence
+    markers, and charge one aggregated collect per receiver. *)

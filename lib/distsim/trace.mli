@@ -22,8 +22,8 @@
     {!null} is free (the engine detects it and skips all event
     construction), {!stats} accumulates an in-memory per-round
     {!series}, {!jsonl} streams JSON Lines to a channel, {!tee}
-    duplicates, and {!of_observer} adapts the legacy per-message
-    observer callback as a [Send]-only sink. *)
+    duplicates, and {!of_observer} adapts a per-message callback as a
+    [Send]-only sink. *)
 
 type round_stat = {
   round : int;
@@ -121,8 +121,11 @@ val custom : ?sends:bool -> (event -> unit) -> sink
     whether it wants {!constructor:Send} events. *)
 
 val of_observer : (src:int -> dst:int -> bits:int -> unit) -> sink
-(** Adapts the legacy engine observer as a [Send]-only sink — the
-    two-party cut-metering hook is this, underneath. *)
+(** Adapts a per-message callback as a sink that acts only on
+    {!constructor:Send} events: [f ~src ~dst ~bits] runs once per wire
+    message, in delivery order. This is how the two-party harness
+    ([Lowerbound.Two_party.meter]) meters the bits crossing its
+    cut. *)
 
 val tee : sink -> sink -> sink
 (** Duplicates every event into both sinks. [tee null s == s]. *)

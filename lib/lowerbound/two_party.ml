@@ -25,7 +25,9 @@ let meter ?max_rounds ~model ~graph ~bob spec =
       bits_across_cut := !bits_across_cut + bits
   in
   let states, metrics =
-    Distsim.Engine.run ?max_rounds ~observer ~model ~graph spec
+    Distsim.Engine.run ?max_rounds
+      ~trace:(Distsim.Trace.of_observer observer)
+      ~model ~graph spec
   in
   let bandwidth =
     match Distsim.Model.bandwidth model with

@@ -6,8 +6,8 @@
 #     silently drop it)
 #   - a bench smoke run exercising the --json perf-trajectory and
 #     --trace event-stream paths, plus the --par 2 seq-vs-par A/B path;
-#     the emitted JSON must carry the spanner-bench/9 "alloc",
-#     "faults", "csr", "frugal" and "churn" rows (the frugal row's
+#     the emitted JSON must carry the spanner-bench/10 "faults",
+#     "csr", "frugal" and "churn" rows (the frugal row's
 #     physical message accounting, its identical=1 contract flag and
 #     the auto-mode >= 1.0x fields; the churn row's repair-vs-recompute
 #     split, per-tick validity and cross-engine determinism flags)
@@ -64,13 +64,9 @@ dune exec test/test_csr.exe -- test gc > /dev/null
 dune exec bench/main.exe -- e1 --json /dev/null --trace /dev/null
 benchjson=$(mktemp)
 dune exec bench/main.exe -- e13 --json "$benchjson" --trace /dev/null
-# The perf trajectory must be schema 10 and expose the allocation A/B
-# plus the profile section's histogram percentiles and per-phase rows.
+# The perf trajectory must be schema 10 and expose the profile
+# section's histogram percentiles and per-phase rows.
 grep -q '"schema": "spanner-bench/10"' "$benchjson"
-grep -q '"alloc"' "$benchjson"
-grep -q '"minor_words"' "$benchjson"
-grep -q '"allocated_bytes"' "$benchjson"
-grep -q '"legacy_minor_words"' "$benchjson"
 grep -q '"profile"' "$benchjson"
 grep -q '"bits_p50"' "$benchjson"
 grep -q '"round_ns_p99"' "$benchjson"
