@@ -336,24 +336,22 @@ let fault_rows ~selected =
    (unselected) BENCH_PR*.json sweeps. Each measurement is a single
    timed run — at these sizes a best-of-k loop would multiply minutes
    of wall clock for noise reduction the ~100x PR-over-PR deltas don't
-   need. The LOCAL 2-spanner rides on the largest anchor where the
-   protocol itself is feasible (gnp_10k: ~2 s; at 10^5 the densest-
-   subgraph oracle dominates and the row would time out CI). *)
+   need. The rows time no spanner protocol: on these sparse G(n,p) and
+   preferential-attachment graphs the 2-spanner keeps (nearly) every
+   edge, and perfbench's serve_mixed setup_s times the same bootstrap
+   on a triangle-rich caveman graph. *)
 
 let csr_anchors () =
   [
     ( "csr_gnp_10k",
       "e18",
-      (fun () -> Generators.gnp_connected (rng 51) 10_000 0.0015),
-      true );
+      fun () -> Generators.gnp_connected (rng 51) 10_000 0.0015 );
     ( "csr_gnp_100k",
       "e18big",
-      (fun () -> Generators.gnp_connected (rng 52) 100_000 0.0002),
-      false );
+      fun () -> Generators.gnp_connected (rng 52) 100_000 0.0002 );
     ( "csr_pa_1e6",
       "e18big",
-      (fun () -> Generators.preferential_attachment (rng 53) 1_000_000 3),
-      false );
+      fun () -> Generators.preferential_attachment (rng 53) 1_000_000 3 );
   ]
 
 let time_once f =
@@ -364,7 +362,7 @@ let time_once f =
 let csr_rows ~par ~selected =
   let sel id = selected = [] || List.mem id selected in
   List.filter_map
-    (fun (name, family, gen, with_spanner) ->
+    (fun (name, family, gen) ->
       if not (sel family) then None
       else begin
         (* The millisecond-scale build anchors are dominated by major-GC
@@ -385,21 +383,6 @@ let csr_rows ~par ~selected =
           seq_vals = par_vals
           && Distsim.Engine.metrics_deterministic_eq seq_metrics par_metrics
         in
-        let spanner_fields =
-          if not with_spanner then []
-          else begin
-            let r, spanner_ms =
-              time_once (fun () -> C.Two_spanner_local.run ~seed:3 g)
-            in
-            [
-              ("spanner_ms", spanner_ms);
-              ( "spanner_edges",
-                float_of_int (Edge.Set.cardinal r.C.Two_spanner_local.spanner)
-              );
-              ("spanner_rounds", float_of_int r.metrics.rounds);
-            ]
-          end
-        in
         Some
           ( name,
             [
@@ -414,8 +397,7 @@ let csr_rows ~par ~selected =
               ( "flood_messages",
                 float_of_int seq_metrics.Distsim.Engine.messages );
               ("flood_identical", if identical then 1.0 else 0.0);
-            ]
-            @ spanner_fields )
+            ] )
       end)
     (csr_anchors ())
 
@@ -601,7 +583,7 @@ let frugal_rows ~reps ~selected =
 let frugal_flood_rows ~selected =
   let sel id = selected = [] || List.mem id selected in
   List.filter_map
-    (fun (name, family, gen, _with_spanner) ->
+    (fun (name, family, gen) ->
       if not (sel family) then None
       else begin
         Gc.compact ();
@@ -642,269 +624,6 @@ let frugal_flood_rows ~selected =
             ] )
       end)
     (csr_anchors ())
-
-(* ------------------------------------------------------------------ *)
-(* Churn rows (new in schema "spanner-bench/9").
-
-   Incremental 2-spanner repair under batched edge churn
-   ({!Spanner_core.Incremental}): bootstrap with one full protocol
-   run, then per tick replace a fraction of the edges (uniform seeded
-   deletions + insertions through [Ugraph.apply_delta]'s merge
-   rebuild), sweep the update-incident certificates, and re-run the
-   protocol only on the dirty ball via [Engine.run ?active]. Each row
-   is one (anchor, churn rate) pair and records the per-tick repair
-   statistics next to a full-recompute baseline on the same
-   post-churn graph — interleaved best-of-k where recompute is cheap
-   enough to repeat ([`Best k]), a single timed run on the
-   million-vertex anchor ([`Once], where best-of-k recomputes would
-   multiply minutes of wall clock). The repair side of the A/B
-   rebuilds its workspaces from the pre-tick state every rep
-   ([Incremental.create] + [apply]), so its time honestly includes
-   the O(n) setup the steady-state loop amortizes. [valid_every_tick]
-   is the fast stretch-2 verdict after every tick; the small anchor
-   also replays the whole trace under naive/par2/par4 engines and
-   asserts bit-identical spanners and tick statistics
-   ([deterministic]). *)
-
-let churn_anchors () =
-  [
-    ( "churn_gnp_10k",
-      "e20",
-      5,
-      `Best 3,
-      fun () -> Generators.gnp_connected (rng 51) 10_000 0.0015 );
-    ( "churn_gnp_100k",
-      "e20big",
-      3,
-      `Best 3,
-      fun () -> Generators.gnp_connected (rng 52) 100_000 0.0002 );
-    ( "churn_pa_1e6",
-      "e20big",
-      2,
-      `Once,
-      fun () -> Generators.preferential_attachment (rng 53) 1_000_000 3 );
-  ]
-
-let churn_rates = [ 0.001; 0.01 ]
-
-let churn_rows ~selected =
-  let sel id = selected = [] || List.mem id selected in
-  List.concat_map
-    (fun (name, family, ticks, ab, gen) ->
-      if not (sel family) then []
-      else begin
-        Gc.compact ();
-        let g0 = gen () in
-        let (inc0, base), bootstrap_ms =
-          time_once (fun () -> C.Incremental.bootstrap ~seed:3 g0)
-        in
-        let s0 = C.Incremental.spanner inc0 in
-        let base_size =
-          Edge.Set.cardinal base.C.Two_spanner_local.spanner
-        in
-        List.map
-          (fun rate ->
-            let replace =
-              max 1 (int_of_float (rate *. float_of_int (Ugraph.m g0)))
-            in
-            (* One full churn trace from the shared (g0, s0) baseline:
-               per tick one seeded delta, one timed repair, one fast
-               validity verdict. Returns the final state, the per-tick
-               records, the pre-state of the final tick and its delta
-               (still in [d]: churn resets it, apply does not) for the
-               A/B below. *)
-            let run_trace ?sched ?par () =
-              let inc = C.Incremental.create ~seed:3 ~spanner:s0 g0 in
-              let rng_c = Rng.create 0xC0FFEE in
-              let d = Ugraph.Delta.create () in
-              let stats = ref [] in
-              let pre = ref (g0, s0) in
-              for t = 1 to ticks do
-                C.Incremental.churn ~rng:rng_c ~replace
-                  (C.Incremental.graph inc)
-                  d;
-                if t = ticks then
-                  pre :=
-                    (C.Incremental.graph inc, C.Incremental.spanner inc);
-                let st, ms =
-                  time_once (fun () ->
-                      C.Incremental.apply ?sched ?par inc d)
-                in
-                let ok = C.Incremental.valid inc in
-                stats := (st, ms, ok) :: !stats
-              done;
-              (inc, List.rev !stats, !pre, d)
-            in
-            let inc, stats, (g_pre, s_pre), d_last = run_trace () in
-            let g_post = C.Incremental.graph inc in
-            let all_valid = List.for_all (fun (_, _, ok) -> ok) stats in
-            let repair_ms =
-              List.map (fun (_, ms, _) -> ms) stats
-            in
-            let repair_mean =
-              List.fold_left ( +. ) 0.0 repair_ms /. float_of_int ticks
-            in
-            let repair_max =
-              List.fold_left Float.max 0.0 repair_ms
-            in
-            let isum f =
-              List.fold_left
-                (fun a (st, _, _) -> a + f (st : C.Incremental.tick_stats))
-                0 stats
-            in
-            let imax f =
-              List.fold_left
-                (fun a (st, _, _) -> max a (f (st : C.Incremental.tick_stats)))
-                0 stats
-            in
-            (* The repair-vs-recompute A/B on the final tick's delta:
-               repair replays from the pre-tick snapshot, recompute
-               runs the full protocol on the post-tick graph both
-               sides produce. *)
-            let repair_once () =
-              let i2 = C.Incremental.create ~seed:3 ~spanner:s_pre g_pre in
-              ignore (C.Incremental.apply i2 d_last)
-            in
-            let recompute_once () =
-              ignore (C.Two_spanner_local.run ~seed:3 g_post)
-            in
-            let repair_best, recompute_best =
-              match ab with
-              | `Best reps -> interleaved_ab_ms ~reps repair_once recompute_once
-              | `Once ->
-                  let _, r_ms = time_once repair_once in
-                  let _, f_ms = time_once recompute_once in
-                  (r_ms, f_ms)
-            in
-            (* The incremental path's determinism contract, replayed
-               end to end on the cheap anchor: same final spanner and
-               the same per-tick statistics under every engine. *)
-            let det_fields =
-              if family <> "e20" then []
-              else begin
-                let key (i, st, _, _) =
-                  ( C.Incremental.spanner i,
-                    List.map (fun (s, _, ok) -> (s, ok)) st )
-                in
-                let s_seq, k_seq = key (inc, stats, ((g_pre, s_pre) : Ugraph.t * Edge.Set.t), d_last) in
-                let same variant =
-                  let s_v, k_v = key variant in
-                  Edge.Set.equal s_seq s_v && k_seq = k_v
-                in
-                let det =
-                  same (run_trace ~sched:`Naive ())
-                  && same (run_trace ~par:2 ())
-                  && same (run_trace ~par:4 ())
-                in
-                if not det then
-                  failwith
-                    (Printf.sprintf
-                       "churn: incremental repair diverged across engines \
-                        on %s@r%g"
-                       name rate);
-                [ ("deterministic", 1.0) ]
-              end
-            in
-            let final_size = Edge.Set.cardinal (C.Incremental.spanner inc) in
-            ( Printf.sprintf "%s@r%g" name rate,
-              [
-                ("n", float_of_int (Ugraph.n g0));
-                ("m", float_of_int (Ugraph.m g0));
-                ("replace_per_tick", float_of_int replace);
-                ("ticks", float_of_int ticks);
-                ("bootstrap_ms", bootstrap_ms);
-                ("repair_ms_mean", repair_mean);
-                ("repair_ms_max", repair_max);
-                ("repair_ms_best", repair_best);
-                ("recompute_ms_best", recompute_best);
-                ( "speedup_vs_recompute",
-                  recompute_best /. Float.max 1e-9 repair_best );
-                ("seeds_mean", float_of_int (isum (fun s -> s.seeds) / ticks));
-                ("broken_total", float_of_int (isum (fun s -> s.broken)));
-                ("dirty_mean", float_of_int (isum (fun s -> s.dirty) / ticks));
-                ("dirty_max", float_of_int (imax (fun s -> s.dirty)));
-                ("spanner_edges", float_of_int final_size);
-                ("spanner_drift", float_of_int (final_size - base_size));
-                ("valid_every_tick", if all_valid then 1.0 else 0.0);
-              ]
-              @ det_fields )
-          )
-          churn_rates
-      end)
-    (churn_anchors ())
-
-(* ------------------------------------------------------------------ *)
-(* Serving anchors (schema 10, family e21): fork a spannerd preloaded
-   with a resident spanner, hammer it with closed-loop query threads
-   (Serveload), and record the latency distribution and throughput the
-   daemon sustains on this container. Latency fields are wall-clock
-   and noisy by nature (bench_diff classifies the [_us] suffix);
-   [n]/[m]/[spanner_edges]/[conns]/[errors] are exact, and errors must
-   be 0 on a healthy run. *)
-
-let serve_anchors =
-  [
-    (* name, family, preload spec, connections, burst seconds *)
-    ("serve_gnp10k_c8", "e21", "gnp 10000 0.0015 51", 8, 2.0);
-    ("serve_gnp10k_c32", "e21", "gnp 10000 0.0015 51", 32, 2.0);
-  ]
-
-let serve_rows ~selected =
-  let sel id = selected = [] || List.mem id selected in
-  List.concat_map
-    (fun (name, family, preload, conns, secs) ->
-      if not (sel family) then []
-      else begin
-        let d = Serveload.spawn_daemon ~preload () in
-        Fun.protect ~finally:(fun () -> Serveload.stop_daemon d) @@ fun () ->
-        let n, m, spanner_edges =
-          let c = Spannernet.Client.connect ~port:d.Serveload.port () in
-          Fun.protect
-            ~finally:(fun () -> Spannernet.Client.close c)
-            (fun () ->
-              match Spannernet.Client.request c Spannernet.Wire.Stats with
-              | Ok (Spannernet.Wire.Stats_reply fields) ->
-                  let get k =
-                    match List.assoc_opt k fields with
-                    | Some v -> v
-                    | None -> 0.0
-                  in
-                  (get "n", get "m", get "spanner_edges")
-              | Ok _ | Error _ -> failwith "serve_rows: STATS failed")
-        in
-        let st =
-          Serveload.run_load ~port:d.Serveload.port ~conns ~secs ~seed:9
-            ~n:(int_of_float n) ()
-        in
-        let h = st.Serveload.hist in
-        let pc p = float_of_int (Distsim.Histogram.percentile h p) in
-        printf
-          "%-18s conns=%-3d queries=%-6d errors=%d qps=%-6.0f \
-           lat_us p50=%d p99=%d\n%!"
-          name conns st.Serveload.queries st.Serveload.errors
-          (Serveload.qps st)
-          (Distsim.Histogram.percentile h 0.5)
-          (Distsim.Histogram.percentile h 0.99);
-        [
-          ( name,
-            [
-              ("n", n);
-              ("m", m);
-              ("spanner_edges", spanner_edges);
-              ("conns", float_of_int st.Serveload.conns);
-              ("secs", st.Serveload.secs);
-              ("queries", float_of_int st.Serveload.queries);
-              ("errors", float_of_int st.Serveload.errors);
-              ("qps", Serveload.qps st);
-              ("lat_us_p50", pc 0.5);
-              ("lat_us_p90", pc 0.9);
-              ("lat_us_p99", pc 0.99);
-              ("lat_us_max", float_of_int (Distsim.Histogram.max_value h));
-              ("lat_us_mean", Distsim.Histogram.mean h);
-            ] )
-        ]
-      end)
-    serve_anchors
 
 (* ------------------------------------------------------------------ *)
 (* Perf trajectory (--json FILE): a machine-readable snapshot of the
@@ -1029,8 +748,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
     if json_path = None then []
     else frugal_rows ~reps:3 ~selected @ frugal_flood_rows ~selected
   in
-  let ch_rows = if json_path = None then [] else churn_rows ~selected in
-  let sv2_rows = if json_path = None then [] else serve_rows ~selected in
   (match json_path with
   | None -> ()
   | Some path ->
@@ -1088,16 +805,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
          logical one, with the correctness contract asserted on every
          row ([identical] / [identical_faulted]). *)
       rows_section "frugal" fr_rows;
-      (* Churn rows (schema "spanner-bench/9"): incremental dirty-ball
-         repair vs full recompute under seeded edge churn, with the
-         per-tick validity verdict and (on the small anchor) the
-         cross-engine determinism flag folded in. *)
-      rows_section "churn" ch_rows;
-      (* Serve rows (schema "spanner-bench/10"): closed-loop query
-         load against a forked spannerd holding the resident spanner —
-         queries/sec, error count and the per-request latency
-         distribution in microseconds. *)
-      rows_section "serve" sv2_rows;
       out "  \"round_series\": {\n";
       sep
         (fun (name, series) ->
@@ -1167,13 +874,12 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
       printf
         "\nperf trajectory written to %s (%d metric rows, %d micros, %d \
          seq-vs-par anchors at %d domains, %d fault rows, %d csr rows, %d \
-         frugal rows, %d churn rows, %d serve rows, %d profile rows)\n"
+         frugal rows, %d profile rows)\n"
         path
         (List.length metric_rows)
         (match micro_rows with None -> 0 | Some rows -> List.length rows)
         (List.length sv_rows) par
         (List.length ft_rows) (List.length cs_rows) (List.length fr_rows)
-        (List.length ch_rows) (List.length sv2_rows)
         (List.length profile_rows));
   match trace_path with
   | Some path ->

@@ -730,61 +730,6 @@ let e19 () =
      flood A/B on the 10^5/10^6 CSR anchors rides the e18/e18big\n\
      families in the full --json sweep (fr_flood_* rows).\n"
 
-let churn_table rows =
-  printf "%-24s %8s %7s %6s %6s %9s %9s %9s %8s %6s %5s %4s\n" "anchor" "m"
-    "replace" "ticks" "dirty" "repair" "recomp" "boot" "speedup" "drift"
-    "valid" "det";
-  List.iter
-    (fun (name, fields) ->
-      let f k = List.assoc k fields in
-      let det =
-        match List.assoc_opt "deterministic" fields with
-        | Some v -> Printf.sprintf "%4.0f" v
-        | None -> "   -"
-      in
-      printf "%-24s %8.0f %7.0f %6.0f %6.0f %8.1fms %8.1fms %8.0fms %7.1fx \
-              %6.0f %5.0f %s\n"
-        name (f "m") (f "replace_per_tick") (f "ticks") (f "dirty_mean")
-        (f "repair_ms_best") (f "recompute_ms_best") (f "bootstrap_ms")
-        (f "speedup_vs_recompute") (f "spanner_drift") (f "valid_every_tick")
-        det)
-    rows
-
-let e20 () =
-  section "E20"
-    "Incremental repair under churn: dirty-ball re-run vs full recompute";
-  churn_table (churn_rows ~selected:[ "e20" ]);
-  printf
-    "\neach tick replaces `replace` edges (uniform seeded deletions +\n\
-     insertions, batched through the CSR delta rebuild), sweeps the\n\
-     stretch-2 certificates incident to the update, and re-runs the\n\
-     protocol only on the dirty ball (Engine ?active). repair/recomp\n\
-     are the interleaved best-of-3 on the final tick; valid=1 means\n\
-     the maintained spanner passed the stretch-2 check after every\n\
-     tick, det=1 that naive/par2/par4 replays were bit-identical.\n\
-     the 10^5/10^6 anchors ride the e20big family in full sweeps.\n"
-
-let e20big () =
-  section "E20BIG" "Churn repair at scale: the 10^5- and 10^6-vertex anchors";
-  churn_table (churn_rows ~selected:[ "e20big" ]);
-  printf
-    "\nsingle bootstrap per anchor; the 10^6-vertex recompute baseline\n\
-     is a single timed run (time_once) — best-of-k would multiply\n\
-     minutes of wall clock for noise the ~10x+ speedups don't need.\n"
-
-let e21 () =
-  section "E21"
-    "Serving: closed-loop query load against a forked spannerd";
-  ignore (serve_rows ~selected:[ "e21" ] : (string * (string * float) list) list);
-  printf
-    "\neach row forks a spannerd preloaded with the anchor graph (the\n\
-     port file doubles as the ready signal), then `conns` client\n\
-     threads run a closed loop of random-pair QUERYs for `secs`,\n\
-     recording per-request latency into per-thread log2 histograms\n\
-     merged at the end. The daemon is one thread: queueing delay at\n\
-     high concurrency is the product, not a bug — qps is the\n\
-     throughput claim, p50/p99 the latency claim, errors must be 0.\n"
-
 let e14 () =
   section "E14" "Lemma 4.5 in action: per-iteration convergence trace";
   let g = Generators.clique_ladder (rng 7) 300 in
@@ -1001,8 +946,7 @@ let experiments =
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
     ("e17", e17); ("e18", e18); ("e18big", e18big); ("e19", e19);
-    ("e20", e20); ("e20big", e20big); ("e21", e21); ("a1", a1); ("a2", a2);
-    ("a3", a3);
+    ("a1", a1); ("a2", a2); ("a3", a3);
   ]
 
 let () =

@@ -6,6 +6,7 @@
      spanner_cli mds graph.txt
      spanner_cli trace graph.txt --algorithm local --jsonl trace.jsonl
      spanner_cli check graph.txt spanner.txt --k 2
+     spanner_cli session --port 7421 session.txt
      spanner_cli bounds --n 1000000 --alpha 4 *)
 
 open Grapho
@@ -767,6 +768,50 @@ let churn_cmd =
     Term.(const churn $ file_arg $ ticks_arg $ rate_arg $ seed_arg
           $ sched_arg $ par_arg $ schedule_arg $ retry_arg $ recompute_arg)
 
+(* ---- session ----------------------------------------------------- *)
+
+let session port script =
+  let commands =
+    String.split_on_char '\n' (read_file script)
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let c = Spannernet.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Spannernet.Client.close c) @@ fun () ->
+  List.iter
+    (fun cmd ->
+      Spannernet.Client.send_line c cmd;
+      (* One reply per request; EVENT frames from a subscription are
+         printed as they arrive and do not end the exchange. *)
+      let rec replies () =
+        match Spannernet.Client.recv_line c with
+        | None -> ()
+        | Some line ->
+            print_endline line;
+            if String.starts_with ~prefix:"EVENT " line then replies ()
+      in
+      replies ())
+    commands;
+  0
+
+let port_arg =
+  Arg.(required & opt (some int) None
+       & info [ "port" ] ~docv:"PORT" ~doc:"spannerd port on 127.0.0.1.")
+
+let script_arg =
+  Arg.(required & pos 0 (some file) None
+       & info [] ~docv:"FILE"
+           ~doc:"Session script: one request per line; blank lines and \
+                 lines starting with # are skipped.")
+
+let session_cmd =
+  Cmd.v
+    (Cmd.info "session"
+       ~doc:"Send a scripted session to a running spannerd and print every \
+             reply line, including EVENT frames. Replies carry no wall \
+             clock, so the transcript is byte-identical across daemon runs.")
+    Term.(const session $ port_arg $ script_arg)
+
 (* ---- check ------------------------------------------------------- *)
 
 let check file spanner_file k =
@@ -833,6 +878,7 @@ let () =
             mds_cmd;
             faults_cmd;
             churn_cmd;
+            session_cmd;
             trace_cmd;
             profile_cmd;
             check_cmd;

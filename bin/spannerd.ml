@@ -6,6 +6,11 @@
      spannerd --port 0 --port-file /tmp/spannerd.port \
               --preload "gnp 10000 0.0015 51"
 
+   Drive it with a scripted session, or measure it with perfbench:
+
+     spanner_cli session --port 7421 session.txt
+     python3 perfbench/run.py --workload serve_mixed --seed 1 --seconds 20
+
    See EXPERIMENTS.md "Serving (E21)" for the protocol. *)
 
 open Cmdliner

@@ -26,9 +26,16 @@
     after every tick, and the whole pipeline is deterministic in
     [(seed, initial graph, delta sequence)] — bit-identical across
     engine schedulers and [par] values, like the protocol itself.
-    Per-tick cost scales with the churn footprint (seed degrees plus
-    dirty-ball size), not with [n]; the churn bench measures the
-    resulting speedup against full recompute. *)
+
+    Only the certificate sweep and the ball re-run scale with the
+    churn footprint (seed degrees plus dirty-ball size). The delta
+    application, the surviving-edge filter, the spanner CSR rebuild
+    and {!valid} are whole-graph passes, so per-tick cost still grows
+    with [n] and [m]; on perfbench's [serve_mixed] workload (caveman,
+    n = 30 000) the ball re-run is about 4% of a tick.
+    [spanner_cli churn --recompute] prints the per-tick repair time
+    next to a full recompute; perfbench [serve_mixed] times the tick
+    stage by stage. *)
 
 open Grapho
 
@@ -64,7 +71,7 @@ val bootstrap :
   Ugraph.t ->
   t * Two_spanner_local.result
 (** Run the full protocol once and wrap its output — the
-    tick-0 baseline of the churn bench. [trace] observes the
+    tick-0 baseline of [spanner_cli churn] and of a daemon LOAD. [trace] observes the
     bootstrap run's engine events (the daemon's SUBSCRIBE hook). *)
 
 val apply :
@@ -103,12 +110,14 @@ val tick : t -> int
 
 val valid : t -> bool
 (** [Spanner_check.is_2_spanner_fast (graph t) (spanner t)] — the
-    per-tick verdict the churn bench records. *)
+    per-tick verdict [spanner_cli churn] prints and a daemon CHURN
+    acknowledges. *)
 
 val churn : rng:Rng.t -> replace:int -> Ugraph.t -> Ugraph.Delta.t -> unit
 (** [churn ~rng ~replace g d] resets [d] and fills it with [replace]
     uniform deletions of existing edges of [g] (capped at [m]) plus
     [replace] uniform insertions of absent non-loop edges, all drawn
-    from [rng] — the seeded churn traces of the bench and tests.
+    from [rng] — the seeded churn traces of [spanner_cli churn],
+    perfbench and the tests.
     Raises [Invalid_argument] if the graph is too dense to place the
     insertions. *)

@@ -34,16 +34,17 @@ val covers_edge_2 : spanner_csr:Ugraph.t -> int -> int -> bool
 (** Stretch-2 certificate against a prebuilt {!spanner_csr}: the edge
     itself or one common neighbor inside the candidate set.
     O(deg u + deg v) in the candidate CSR, allocation-free —
-    equivalent to [covers_edge ~k:2] but usable per-tick at the
-    10^5/10^6 churn anchors where the BFS checker's O(n) scratch per
-    edge is infeasible. *)
+    equivalent to [covers_edge ~k:2] but usable per churn tick on large
+    graphs, where the BFS checker's O(n) scratch per edge is
+    infeasible. *)
 
 val is_2_spanner_fast : Ugraph.t -> Edge.Set.t -> bool
 (** Equivalent to [is_spanner g s ~k:2] (including the subset check),
     via one {!spanner_csr} build plus one {!covers_edge_2} probe per
     graph edge: O(n + m_s + Σ_e merge) total instead of O(m n). The
-    equivalence is pinned by the test suite; the churn bench runs
-    this as its every-tick validity verdict. *)
+    equivalence is pinned by the test suite; {!Incremental.valid}
+    runs this as its every-tick validity verdict ([spanner_cli churn],
+    the daemon's CHURN and perfbench [serve_mixed]). *)
 
 type query
 (** Reusable BFS scratch for {!query_path} — stamp/parent/queue

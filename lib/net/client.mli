@@ -1,5 +1,5 @@
-(** Blocking, buffered spannerd client — the loadgen's and the
-    scripted smoke test's side of the wire.
+(** Blocking, buffered spannerd client — the side of the wire used by
+    [spanner_cli session] and perfbench's serve driver.
 
     One TCP connection, blocking sockets, a read buffer for line
     reassembly. Threads may each own one client (nothing is shared);

@@ -69,14 +69,14 @@ let build_graph ~family ~n ~p ~seed =
   else
     match family with
     | "gnp" ->
-        if p <= 0.0 || p > 1.0 then Error "gnp: p must be in (0, 1]"
+        if not (p > 0.0 && p <= 1.0) then Error "gnp: p must be in (0, 1]"
         else Ok (Generators.gnp_connected (Rng.create seed) n p)
     | "pa" ->
         let d = int_of_float p in
         if d < 1 then Error "pa: p is edges-per-vertex, must be >= 1"
         else Ok (Generators.preferential_attachment (Rng.create seed) n d)
     | "caveman" ->
-        if p < 0.0 || p > 1.0 then Error "caveman: p must be in [0, 1]"
+        if not (p >= 0.0 && p <= 1.0) then Error "caveman: p must be in [0, 1]"
         else Ok (Generators.caveman_n (Rng.create seed) n p)
     | "complete" -> Ok (Generators.complete n)
     | "cycle" -> Ok (Generators.cycle n)

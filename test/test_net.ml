@@ -333,6 +333,12 @@ let test_service_semantics () =
   (match replies_of conn with
   | [ Wire.Err _; Wire.Err _ ] -> ()
   | _ -> Alcotest.fail "pre-load QUERY/CHURN should both ERR");
+  (* A NaN edge probability fails every ordered comparison, so the
+     range checks must accept only values proven inside the range. *)
+  feed_all conn service "LOAD gnp 10 nan 1\nLOAD caveman 12 nan 1\n";
+  (match replies_of conn with
+  | [ Wire.Err _; Wire.Err _ ] -> ()
+  | _ -> Alcotest.fail "LOAD with p = nan should ERR for gnp and caveman");
   feed_all conn service "LOAD cycle 8 0.0 1\n";
   (match replies_of conn with
   | [ Wire.Loaded { n = 8; m = 8; spanner; rounds = _ } ] ->
