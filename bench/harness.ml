@@ -48,33 +48,15 @@ let anchors () =
     ("e15_congest_port", "e15", `Congest, Generators.caveman (rng 21) 4 6 0.05);
   ]
 
-(* Larger instances for the seq-vs-par A/B section: big enough that a
-   round has real work to split across domains. The small e13-tagged
-   one keeps `bench -- e13 --par 2 --json ...` cheap for CI smoke. *)
-let seq_vs_par_anchors () =
-  [
-    ("sv_local_caveman_4x6", "e13", `Local, Generators.caveman (rng 19) 4 6 0.05);
-    ("sv_local_caveman_8x8", "e8", `Local, Generators.caveman (rng 23) 8 8 0.03);
-    ( "sv_local_gnp_240",
-      "e2",
-      `Local,
-      Generators.gnp_connected (rng 31) 240 0.08 );
-    ("sv_local_ladder_400", "e2", `Local, Generators.clique_ladder (rng 32) 400);
-    ( "sv_congest_caveman_6x6",
-      "e15",
-      `Congest,
-      Generators.caveman (rng 24) 6 6 0.04 );
-  ]
-
-let run_anchor ?(trace = Distsim.Trace.null) ?profile ?par ?frugal
-    ?adversary ?retry kind g : C.Two_spanner_local.result =
+let run_anchor ?(trace = Distsim.Trace.null) ?profile ?frugal ?adversary
+    ?retry kind g : C.Two_spanner_local.result =
   match kind with
   | `Local ->
-      C.Two_spanner_local.run ~seed:3 ?par ?profile ?frugal ?adversary
-        ?retry ~trace g
+      C.Two_spanner_local.run ~seed:3 ?profile ?frugal ?adversary ?retry
+        ~trace g
   | `Congest ->
-      C.Two_spanner_local.run_congest ~seed:3 ?par ?profile ?frugal
-        ?adversary ?retry ~trace g
+      C.Two_spanner_local.run_congest ~seed:3 ?profile ?frugal ?adversary
+        ?retry ~trace g
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock timing. *)
@@ -165,52 +147,6 @@ let series_summary (s : Distsim.Trace.series) =
     float_of_int !msgs_total /. float_of_int (max 1 (n_rounds - 1))
   in
   (n_rounds - 1, !steps, !msgs_total, !msgs_max, mean, !bits_max, hist)
-
-(* ------------------------------------------------------------------ *)
-(* seq-vs-par A/B rows.
-
-   For every seq-vs-par anchor, run the protocol sequentially and
-   with [par] domains in interleaved reps; record the best wall time
-   of each plus an [identical] flag asserting that the parallel run
-   produced the same spanner, iteration count and engine metrics as
-   the sequential one (the engine's determinism contract). On a
-   single-core container the speedup is expected to sit at or below
-   1.0; the "cores" field records why. *)
-let seq_vs_par_rows ~par ~reps ~selected =
-  let sel id = selected = [] || List.mem id selected in
-  List.filter_map
-    (fun (name, family, kind, g) ->
-      if not (sel family) then None
-      else begin
-        let seq = run_anchor kind g in
-        let prl = run_anchor ~par kind g in
-        let identical =
-          Edge.Set.equal seq.C.Two_spanner_local.spanner
-            prl.C.Two_spanner_local.spanner
-          && seq.iterations = prl.iterations
-          (* GC-pressure floats vary per run and per domain count;
-             equality is stated on the deterministic fields. *)
-          && Distsim.Engine.metrics_deterministic_eq seq.metrics prl.metrics
-        in
-        let seq_ms, par_ms =
-          interleaved_ab_ms ~reps
-            (fun () -> ignore (run_anchor kind g))
-            (fun () -> ignore (run_anchor ~par kind g))
-        in
-        Some
-          ( name,
-            [
-              ("n", float_of_int (Ugraph.n g));
-              ("m", float_of_int (Ugraph.m g));
-              ("rounds", float_of_int seq.metrics.rounds);
-              ("steps", float_of_int seq.metrics.steps);
-              ("seq_ms_best", seq_ms);
-              ("par_ms_best", par_ms);
-              ("speedup", seq_ms /. Float.max 1e-9 par_ms);
-              ("identical", if identical then 1.0 else 0.0);
-            ] )
-      end)
-    (seq_vs_par_anchors ())
 
 (* ------------------------------------------------------------------ *)
 (* Fault-sweep rows (new in schema "spanner-bench/5").
@@ -627,8 +563,8 @@ let frugal_flood_rows ~selected =
 
 (* ------------------------------------------------------------------ *)
 (* Perf trajectory (--json FILE): a machine-readable snapshot of the
-   Bechamel estimates, wall-clock anchors, seq-vs-par A/B and engine
-   metrics, written as BENCH_PR<k>.json at the end of a PR so
+   Bechamel estimates, wall-clock anchors, fault/csr/frugal rows and
+   engine metrics, written as BENCH_PR<k>.json at the end of a PR so
    regressions show up as diffs (see EXPERIMENTS.md,
    "Performance"). *)
 
@@ -739,9 +675,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
               ))
         (anchors ())
   in
-  let sv_rows =
-    if json_path = None then [] else seq_vs_par_rows ~par ~reps:3 ~selected
-  in
   let ft_rows = if json_path = None then [] else fault_rows ~selected in
   let cs_rows = if json_path = None then [] else csr_rows ~par ~selected in
   let fr_rows =
@@ -797,7 +730,6 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
       out "  \"wall_clock_ms_stats_sink_best_of_3\": {\n";
       sep (fun (name, ms) -> out "    %S: %.3f" name ms) wall_stats_rows;
       out "\n  },\n";
-      rows_section "seq_vs_par" sv_rows;
       rows_section "faults" ft_rows;
       rows_section "csr" cs_rows;
       (* Frugal A/B rows (schema "spanner-bench/8"): the physical
@@ -873,12 +805,10 @@ let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
       close_out oc;
       printf
         "\nperf trajectory written to %s (%d metric rows, %d micros, %d \
-         seq-vs-par anchors at %d domains, %d fault rows, %d csr rows, %d \
-         frugal rows, %d profile rows)\n"
+         fault rows, %d csr rows, %d frugal rows, %d profile rows)\n"
         path
         (List.length metric_rows)
         (match micro_rows with None -> 0 | Some rows -> List.length rows)
-        (List.length sv_rows) par
         (List.length ft_rows) (List.length cs_rows) (List.length fr_rows)
         (List.length profile_rows));
   match trace_path with

@@ -13,9 +13,9 @@ open Grapho
      then it is no longer a g'-edge and needs nothing.
    - An edge (x, y) covered through a midpoint w loses the witness
      only if a spanner edge (x, w) or (w, y) left S. Spanner edges
-     leave S only by being deleted from the graph (S' is the
-     mem_edge restriction), so the broken edge is incident to a
-     deleted edge's endpoint.
+     leave S only by being deleted from the graph (S' is S minus the
+     delta's deletions), so the broken edge is incident to a deleted
+     edge's endpoint.
    - An inserted edge never had a certificate; its endpoints are
      update endpoints by definition.
 
@@ -29,7 +29,14 @@ open Grapho
    both endpoints in D it is an edge of g'[D], hence covered by R.
    S'' = S' ∪ R therefore covers every g'-edge: unbroken ones keep
    their S' certificate (coverage is monotone in the edge set),
-   broken ones get one from R. *)
+   broken ones get one from R.
+
+   S is held as its own CSR, never as an edge set: S' is S with the
+   delta's deletions that were spanner edges applied through
+   [Ugraph.apply_delta], and S'' is S' with R \ S' inserted the same
+   way, each through one reused builder and delta. Both steps keep
+   S ⊆ g' by construction, so [valid] is one probe per graph edge
+   against the held CSR. *)
 
 type tick_stats = {
   tick : int;
@@ -47,15 +54,18 @@ type tick_stats = {
 type t = {
   seed : int;
   mutable graph : Ugraph.t;
-  mutable spanner : Edge.Set.t;
+  mutable spanner : Ugraph.t;
   mutable tick : int;
   builder : Ugraph.Builder.builder;
+  sbuilder : Ugraph.Builder.builder;  (* the spanner's rebuilds *)
+  sdelta : Ugraph.Delta.t;  (* the spanner's share of a tick *)
   mark : Bytes.t;  (* bit 0: seed this tick, bit 1: in the dirty ball *)
   seed_buf : Bigcsr.buf;
   dirty_buf : Bigcsr.buf;
 }
 
 let create ?(seed = 0x2D5F1) ~spanner g =
+  let spanner = Ugraph.induced_by_edges g spanner in
   {
     seed;
     graph = g;
@@ -63,6 +73,9 @@ let create ?(seed = 0x2D5F1) ~spanner g =
     tick = 0;
     builder = Ugraph.Builder.create ~expected_edges:(Ugraph.m g)
         ~n:(Ugraph.n g) ();
+    sbuilder = Ugraph.Builder.create ~expected_edges:(Ugraph.m spanner)
+        ~n:(Ugraph.n g) ();
+    sdelta = Ugraph.Delta.create ();
     mark = Bytes.make (Ugraph.n g) '\000';
     seed_buf = Bigcsr.buf_create 64;
     dirty_buf = Bigcsr.buf_create 64;
@@ -73,9 +86,17 @@ let bootstrap ?(seed = 0x2D5F1) ?sched ?par ?trace g =
   (create ~seed ~spanner:r.spanner g, r)
 
 let graph t = t.graph
-let spanner t = t.spanner
+let spanner t = Ugraph.edge_set t.spanner
+let spanner_csr t = t.spanner
 let tick t = t.tick
-let valid t = Spanner_check.is_2_spanner_fast t.graph t.spanner
+let valid t = Spanner_check.is_2_spanner_csr t.graph ~spanner_csr:t.spanner
+
+(* Applies the spanner's share of a tick, queued in [t.sdelta], through
+   the spanner's own builder; a share that changes nothing costs
+   nothing. *)
+let update_spanner t s =
+  if Ugraph.Delta.deletes t.sdelta + Ugraph.Delta.inserts t.sdelta = 0 then s
+  else Ugraph.apply_delta ~builder:t.sbuilder s t.sdelta
 
 (* Repair seeds drift per tick so consecutive dirty-ball runs do not
    reuse vote streams; same SplitMix-style decorrelation as
@@ -89,8 +110,13 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
   and inserted = Ugraph.Delta.inserts d in
   (* A rejected delta raises here, before any state mutates. *)
   let g' = Ugraph.apply_delta ~builder:t.builder t.graph d in
-  let n = Ugraph.n g' in
-  let s' = Resilience.surviving_edges t.spanner ~graph:g' in
+  Ugraph.Delta.reset t.sdelta;
+  Ugraph.Delta.iter_deletes
+    (fun u v ->
+      if Ugraph.mem_edge t.spanner u v then
+        Ugraph.Delta.add_delete t.sdelta u v)
+    d;
+  let s' = update_spanner t t.spanner in
   let mark = t.mark in
   let is_seed v = Char.code (Bytes.unsafe_get mark v) land 1 <> 0 in
   let set_seed v =
@@ -112,7 +138,6 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
   let seeds = t.seed_buf.len in
   (* Candidate sweep: every g'-edge incident to a seed, each probed
      once (a seed-seed edge is charged to its larger endpoint). *)
-  let scsr = Spanner_check.spanner_csr ~n s' in
   let candidates = ref 0 and broken = ref 0 in
   for i = 0 to seeds - 1 do
     let u = buf_get t.seed_buf i in
@@ -120,7 +145,7 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
       (fun v ->
         if not (is_seed v && v < u) then begin
           incr candidates;
-          if not (Spanner_check.covers_edge_2 ~spanner_csr:scsr u v)
+          if not (Spanner_check.covers_edge_2 ~spanner_csr:s' u v)
           then begin
             incr broken;
             set_dirty u;
@@ -144,7 +169,14 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
       in
       repair_rounds := r.metrics.rounds;
       repair_iterations := r.iterations;
-      Edge.Set.union s' r.spanner
+      Ugraph.Delta.reset t.sdelta;
+      Edge.Set.iter
+        (fun e ->
+          let u, v = Edge.endpoints e in
+          if not (Ugraph.mem_edge s' u v) then
+            Ugraph.Delta.add_insert t.sdelta u v)
+        r.spanner;
+      update_spanner t s'
     end
   in
   for i = 0 to t.seed_buf.len - 1 do
@@ -168,7 +200,7 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
     dirty;
     repair_rounds = !repair_rounds;
     repair_iterations = !repair_iterations;
-    spanner_size = Edge.Set.cardinal repaired;
+    spanner_size = Ugraph.m repaired;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -5,11 +5,13 @@
     protocol only on the {e dirty ball} around the update instead of
     the whole graph:
 
-    + the delta is applied ({!Grapho.Ugraph.apply_delta}, through a
-      reused streaming builder) and the spanner restricted to its
-      surviving edges ({!Resilience.surviving_edges});
+    + the delta is applied to the graph ({!Grapho.Ugraph.apply_delta},
+      through a reused streaming builder), and its deletions that
+      were spanner edges to the spanner, which is held as its own
+      CSR (the same call, through a second builder and a reused
+      {!Grapho.Ugraph.Delta});
     + a certificate sweep probes every surviving-graph edge incident
-      to an update endpoint against the surviving spanner's CSR
+      to an update endpoint against that spanner CSR
       ({!Spanner_check.covers_edge_2}). A locality lemma (proved in
       the implementation header) shows these are the only edges whose
       stretch-2 certificate can have broken, so the sweep is exact —
@@ -17,7 +19,8 @@
     + the dirty ball [D] — broken edges' endpoints plus all their
       common surviving-graph neighbors — is repaired by
       {!Two_spanner_local.run}[ ~active:D] on the induced subgraph,
-      and the repair unioned into the surviving spanner. Coverage is
+      and the repair edges not yet in the spanner are inserted into
+      its CSR by one more {!Grapho.Ugraph.apply_delta}. Coverage is
       monotone in the edge set, so the union stays valid everywhere.
 
     The repaired spanner is generally {e not} the spanner a full
@@ -28,11 +31,12 @@
     engine schedulers and [par] values, like the protocol itself.
 
     Only the certificate sweep and the ball re-run scale with the
-    churn footprint (seed degrees plus dirty-ball size). The delta
-    application, the surviving-edge filter, the spanner CSR rebuild
-    and {!valid} are whole-graph passes, so per-tick cost still grows
-    with [n] and [m]; on perfbench's [serve_mixed] workload (caveman,
-    n = 30 000) the ball re-run is about 4% of a tick.
+    churn footprint (seed degrees plus dirty-ball size). The graph's
+    delta application, the spanner's (at most two per tick, skipped
+    when the tick leaves the spanner unchanged) and {!valid} are
+    whole-graph passes, so per-tick cost still grows with [n] and
+    [m]; on perfbench's [serve_mixed] workload (caveman, n = 30 000)
+    the ball re-run is about a tenth of a tick.
     [spanner_cli churn --recompute] prints the per-tick repair time
     next to a full recompute; perfbench [serve_mixed] times the tick
     stage by stage. *)
@@ -40,10 +44,11 @@
 open Grapho
 
 type t
-(** Mutable repair state: current graph, current spanner, tick
-    counter, plus reused off-heap workspaces (delta-application
-    builder, mark bytes, seed/dirty vertex buffers) so steady-state
-    ticks do not grow the heap. *)
+(** Mutable repair state: current graph, current spanner (a CSR
+    subgraph of it), tick counter, plus reused off-heap workspaces
+    (the graph's and the spanner's delta-application builders, the
+    spanner's delta, mark bytes, seed/dirty vertex buffers) so
+    steady-state ticks do not grow the heap. *)
 
 type tick_stats = {
   tick : int;  (** 1-based tick this record describes *)
@@ -61,7 +66,9 @@ type tick_stats = {
 val create : ?seed:int -> spanner:Edge.Set.t -> Ugraph.t -> t
 (** Wrap an existing graph and a valid 2-spanner of it (validity is
     the caller's obligation — typically the output of a full
-    protocol run). [seed] keys the repair runs' vote randomness. *)
+    protocol run; [spanner ⊆ graph] is checked, [Invalid_argument]
+    otherwise). The spanner is converted to its CSR once, here.
+    [seed] keys the repair runs' vote randomness. *)
 
 val bootstrap :
   ?seed:int ->
@@ -102,16 +109,25 @@ val apply :
 val graph : t -> Ugraph.t
 (** The current (post-latest-tick) graph. *)
 
+val spanner_csr : t -> Ugraph.t
+(** The maintained spanner of {!graph} as the CSR the repair keeps —
+    a subgraph of {!graph} on the same vertex set. The daemon's QUERY
+    reads it. *)
+
 val spanner : t -> Edge.Set.t
-(** The maintained spanner of {!graph}. *)
+(** {!spanner_csr} as an edge set ({!Grapho.Ugraph.edge_set}): a
+    conversion over every spanner edge, for callers outside the tick
+    path. *)
 
 val tick : t -> int
 (** Ticks applied so far. *)
 
 val valid : t -> bool
-(** [Spanner_check.is_2_spanner_fast (graph t) (spanner t)] — the
-    per-tick verdict [spanner_cli churn] prints and a daemon CHURN
-    acknowledges. *)
+(** [Spanner_check.is_2_spanner_csr (graph t)
+    ~spanner_csr:(spanner_csr t)] — one certificate probe per graph edge against the held CSR, no
+    rebuild and no subset pass (the spanner is a subgraph by
+    construction). The per-tick verdict [spanner_cli churn] prints
+    and a daemon CHURN acknowledges. *)
 
 val churn : rng:Rng.t -> replace:int -> Ugraph.t -> Ugraph.Delta.t -> unit
 (** [churn ~rng ~replace g d] resets [d] and fills it with [replace]

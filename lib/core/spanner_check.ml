@@ -59,44 +59,33 @@ let is_spanner g s ~k =
 let is_spanner_of_targets ~n ~targets s ~k =
   uncovered_of_targets ~n ~targets s ~k = []
 
-(* Specialized stretch-2 path at CSR scale. [is_spanner] runs one
-   bounded BFS with an O(n) distance array per queried edge — O(m n)
-   for a full verdict, infeasible at the 10^5/10^6 churn anchors. For
-   k = 2 a certificate is just "the edge itself, or one common
-   neighbor inside the spanner", so building the candidate set's own
-   CSR once turns the whole verdict into m sorted-row merges. *)
-let spanner_csr ~n s =
-  Ugraph.of_edge_iter ~expected_edges:(Edge.Set.cardinal s) ~n (fun emit ->
-      Edge.Set.iter
-        (fun e ->
-          let u, v = Edge.endpoints e in
-          emit u v)
-        s)
+let spanner_csr = Ugraph.of_edge_set
 
 let covers_edge_2 ~spanner_csr u v =
   Ugraph.mem_edge spanner_csr u v
   || Ugraph.common_neighbor spanner_csr u v >= 0
 
-let is_2_spanner_fast g s =
-  let n = Ugraph.n g in
-  let sg = spanner_csr ~n s in
-  Edge.Set.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      if not (Ugraph.mem_edge g u v) then
-        invalid_arg "Spanner_check.is_2_spanner_fast: spanner edge not in graph")
-    s;
+(* Specialized stretch-2 path at CSR scale. [is_spanner] runs one
+   bounded BFS with an O(n) distance array per queried edge — O(m n)
+   for a full verdict, infeasible at the 10^5/10^6 churn anchors. For
+   k = 2 a certificate is just "the edge itself, or one common
+   neighbor inside the spanner", so against the candidate set's own
+   CSR the whole verdict is m sorted-row merges. *)
+let is_2_spanner_csr g ~spanner_csr =
   let ok = ref true in
   (try
      Ugraph.iter_edges_uv
        (fun u v ->
-         if not (covers_edge_2 ~spanner_csr:sg u v) then begin
+         if not (covers_edge_2 ~spanner_csr u v) then begin
            ok := false;
            raise Exit
          end)
        g
    with Exit -> ());
   !ok
+
+let is_2_spanner_fast g s =
+  is_2_spanner_csr g ~spanner_csr:(Ugraph.induced_by_edges g s)
 
 (* Serving-path BFS: the daemon answers thousands of QUERYs per second
    against one resident spanner CSR, so the per-query cost must be the

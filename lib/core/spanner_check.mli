@@ -27,8 +27,9 @@ val is_spanner_of_targets :
 
 val spanner_csr : n:int -> Edge.Set.t -> Ugraph.t
 (** The candidate set as its own CSR graph — the index
-    {!covers_edge_2} probes. Build it once per candidate set, then
-    each certificate check is one sorted-row merge. *)
+    {!covers_edge_2} probes; the same function as
+    {!Grapho.Ugraph.of_edge_set}. Build it once per candidate set,
+    then each certificate check is one sorted-row merge. *)
 
 val covers_edge_2 : spanner_csr:Ugraph.t -> int -> int -> bool
 (** Stretch-2 certificate against a prebuilt {!spanner_csr}: the edge
@@ -38,13 +39,22 @@ val covers_edge_2 : spanner_csr:Ugraph.t -> int -> int -> bool
     graphs, where the BFS checker's O(n) scratch per edge is
     infeasible. *)
 
+val is_2_spanner_csr : Ugraph.t -> spanner_csr:Ugraph.t -> bool
+(** [is_2_spanner_csr g ~spanner_csr] is [true] iff every edge of [g]
+    passes {!covers_edge_2}: one probe per graph edge, no build and
+    no allocation. [spanner_csr] must be a subgraph of [g] on the
+    same vertex set; that is not checked. {!Incremental.valid} runs
+    this against the spanner CSR it maintains as its every-tick
+    verdict ([spanner_cli churn], the daemon's CHURN and perfbench
+    [serve_mixed]). *)
+
 val is_2_spanner_fast : Ugraph.t -> Edge.Set.t -> bool
-(** Equivalent to [is_spanner g s ~k:2] (including the subset check),
-    via one {!spanner_csr} build plus one {!covers_edge_2} probe per
-    graph edge: O(n + m_s + Σ_e merge) total instead of O(m n). The
-    equivalence is pinned by the test suite; {!Incremental.valid}
-    runs this as its every-tick validity verdict ([spanner_cli churn],
-    the daemon's CHURN and perfbench [serve_mixed]). *)
+(** Equivalent to [is_spanner g s ~k:2] (including the subset check):
+    {!Grapho.Ugraph.induced_by_edges} builds the CSR of [s] and
+    raises [Invalid_argument] on an edge of [s] not in [g], then
+    {!is_2_spanner_csr} gives the verdict — O(n + m_s + Σ_e merge)
+    total instead of O(m n). The equivalence is pinned by the test
+    suite. *)
 
 type query
 (** Reusable BFS scratch for {!query_path} — stamp/parent/queue
@@ -58,9 +68,9 @@ val query_create : ?n:int -> unit -> query
 
 val query_path : query -> Ugraph.t -> u:int -> v:int -> int list option
 (** [query_path q sg ~u ~v] is a shortest [u]–[v] path in [sg]
-    (typically a resident {!spanner_csr}) as its vertex sequence
-    [u; ...; v], or [None] if the two are disconnected in [sg];
-    [Some [u]] when [u = v]. One BFS from [u] with early exit at [v],
+    (typically the spanner CSR {!Incremental.spanner_csr} maintains)
+    as its vertex sequence [u; ...; v], or [None] if the two are
+    disconnected in [sg]; [Some [u]] when [u = v]. One BFS from [u] with early exit at [v],
     deterministic (CSR neighbor order), allocation-free apart from
     the returned list. When [sg] is a valid 2-spanner of a graph with
     edge [{u,v}], the result has at most 2 hops — the daemon's QUERY

@@ -6,9 +6,12 @@
     membership is O(log deg) binary search, iteration is a flat-buffer
     scan with zero GC traffic, and a graph occupies exactly
     [8 * (n + 1 + 2m)] bytes. Graphs are built once — from an edge
-    list, an edge set, or a streaming emitter — and never mutated;
-    algorithms that grow edge sets (spanners) operate on {!Edge.Set}
-    values instead. *)
+    list, an edge set, or a streaming emitter — and never mutated. A
+    graph that changes (churned graphs, and the spanner maintained
+    under churn, which is kept as a CSR subgraph) is replaced by a
+    fresh one through {!apply_delta}; algorithms that grow an edge set
+    from scratch (the protocols' spanner outputs) build an
+    {!Edge.Set}. *)
 
 type t
 

@@ -5,7 +5,6 @@ module Trace = Distsim.Trace
 type loaded = {
   inc : C.Incremental.t;
   bootstrap_rounds : int;
-  mutable scsr : Ugraph.t;  (* the maintained spanner as its own CSR *)
   mutable valid : bool;
 }
 
@@ -89,23 +88,14 @@ let install t ~seed g =
   let inc, (r : C.Two_spanner_local.result) =
     C.Incremental.bootstrap ~seed ~trace:(trace_sink t) g
   in
-  let scsr =
-    C.Spanner_check.spanner_csr ~n:(Ugraph.n g) (C.Incremental.spanner inc)
-  in
   t.resident <-
-    Some
-      {
-        inc;
-        bootstrap_rounds = r.metrics.rounds;
-        scsr;
-        valid = true;
-      };
+    Some { inc; bootstrap_rounds = r.metrics.rounds; valid = true };
   t.loads <- t.loads + 1;
   Wire.Loaded
     {
       n = Ugraph.n g;
       m = Ugraph.m g;
-      spanner = Edge.Set.cardinal r.spanner;
+      spanner = Ugraph.m (C.Incremental.spanner_csr inc);
       rounds = r.metrics.rounds;
     }
 
@@ -113,12 +103,13 @@ let handle_query t u v =
   match t.resident with
   | None -> err t "no graph loaded"
   | Some ld ->
-      let n = Ugraph.n ld.scsr in
+      let sg = C.Incremental.spanner_csr ld.inc in
+      let n = Ugraph.n sg in
       if u >= n || v >= n then
         err t (Printf.sprintf "vertex out of range (n=%d)" n)
       else begin
         t.queries <- t.queries + 1;
-        match C.Spanner_check.query_path t.query ld.scsr ~u ~v with
+        match C.Spanner_check.query_path t.query sg ~u ~v with
         | Some p ->
             t.paths <- t.paths + 1;
             Wire.Path p
@@ -141,10 +132,6 @@ let handle_churn t ops =
         C.Incremental.apply ~trace:(trace_sink t) ld.inc d
       with
       | st ->
-          ld.scsr <-
-            C.Spanner_check.spanner_csr
-              ~n:(Ugraph.n (C.Incremental.graph ld.inc))
-              (C.Incremental.spanner ld.inc);
           ld.valid <- C.Incremental.valid ld.inc;
           t.churn_ticks <- t.churn_ticks + 1;
           t.churn_broken <- t.churn_broken + st.broken;
@@ -171,7 +158,7 @@ let stats t =
         ( 1.,
           f (Ugraph.n g),
           f (Ugraph.m g),
-          f (Edge.Set.cardinal (C.Incremental.spanner ld.inc)),
+          f (Ugraph.m (C.Incremental.spanner_csr ld.inc)),
           f (C.Incremental.tick ld.inc),
           (if ld.valid then 1. else 0.),
           f ld.bootstrap_rounds )
@@ -231,4 +218,4 @@ let graph t =
 let spanner_size t =
   match t.resident with
   | None -> 0
-  | Some ld -> Edge.Set.cardinal (C.Incremental.spanner ld.inc)
+  | Some ld -> Ugraph.m (C.Incremental.spanner_csr ld.inc)

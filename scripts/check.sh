@@ -5,9 +5,8 @@
 #     allocation guard, also run below by name so a suite filter can't
 #     silently drop it)
 #   - a bench smoke run exercising the --json perf-trajectory and
-#     --trace event-stream paths, plus the --par 2 seq-vs-par A/B path;
-#     the emitted JSON must carry the spanner-bench/10 "faults",
-#     "csr" and "frugal" rows (the frugal row's physical message
+#     --trace event-stream paths; the emitted JSON must carry the
+#     spanner-bench/10 "faults", "csr" and "frugal" rows (the frugal row's physical message
 #     accounting, its identical=1 contract flag and the auto-mode
 #     >= 1.0x fields)
 #   - a CSR scale smoke: the e18 anchor (10^4-vertex gnp) must stream-
@@ -99,7 +98,6 @@ dune exec bench/diff.exe -- BENCH_PR5.json BENCH_PR6.json > /dev/null
 dune exec bench/diff.exe -- BENCH_PR9.json "$benchjson" \
   --strict --tolerance 2.0 > /dev/null
 rm -f "$benchjson"
-dune exec bench/main.exe -- e13 --par 2 --json /dev/null
 # The fault sweep: e17 selects the fault anchors, whose JSON rows must
 # carry the survivor-quality fields.
 benchjson=$(mktemp)

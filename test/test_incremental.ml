@@ -120,7 +120,7 @@ let test_active_guards () =
 (* ------------------------------------------------------------------ *)
 (* Churn traces: validity every tick, determinism across engines. *)
 
-let run_trace ?sched ?par ~seed ~gseed ~ticks mk =
+let run_trace ?sched ?par ?(each = fun _ -> ()) ~seed ~gseed ~ticks mk =
   let g = mk gseed in
   let inc, (_ : C.Two_spanner_local.result) =
     C.Incremental.bootstrap ~seed ?sched ?par g
@@ -132,9 +132,69 @@ let run_trace ?sched ?par ~seed ~gseed ~ticks mk =
   for _ = 1 to ticks do
     C.Incremental.churn ~rng ~replace (C.Incremental.graph inc) d;
     let st = C.Incremental.apply ?sched ?par inc d in
+    each inc;
     stats := st :: !stats
   done;
   (inc, List.rev !stats)
+
+(* One fixed churn trace pinned value for value: the per-tick stats
+   and a digest of the final spanner's edges. The values were recorded
+   when the maintained spanner was an edge set, so they pin that the
+   CSR representation changes no output. After every tick the held
+   CSR must also be the canonical CSR of [spanner] and a subgraph of
+   the graph. *)
+let golden_stats =
+  [
+    "1 3 3 11 74 3 6 24 1 100";
+    "2 3 3 11 65 3 5 24 1 103";
+    "3 3 3 12 77 5 14 24 1 117";
+    "4 3 3 11 70 2 4 24 1 117";
+    "5 3 3 10 62 3 6 24 1 119";
+    "6 3 3 11 73 4 9 24 1 128";
+    "7 3 3 11 67 3 7 24 1 129";
+    "8 3 3 9 64 3 6 24 1 131";
+    "9 3 3 11 68 1 2 24 1 129";
+    "10 3 3 11 71 2 3 24 1 130";
+    "11 3 3 11 74 3 6 24 1 131";
+    "12 3 3 12 79 5 9 24 1 139";
+  ]
+
+let golden_digest = "400f608794e1b9168e95fd3ef930b4f9"
+
+let stats_line (st : C.Incremental.tick_stats) =
+  Printf.sprintf "%d %d %d %d %d %d %d %d %d %d" st.tick st.deleted
+    st.inserted st.seeds st.candidates st.broken st.dirty st.repair_rounds
+    st.repair_iterations st.spanner_size
+
+let edges_digest s =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun e ->
+               let u, v = Edge.endpoints e in
+               Printf.sprintf "%d-%d" u v)
+             (Edge.Set.elements s))))
+
+let test_churn_golden () =
+  let _, mk = List.nth families 2 in
+  let each inc =
+    let g = C.Incremental.graph inc and sg = C.Incremental.spanner_csr inc in
+    let tick = C.Incremental.tick inc in
+    check (Printf.sprintf "tick %d: held CSR canonical" tick) true
+      (Ugraph.equal sg
+         (Ugraph.of_edge_set ~n:(Ugraph.n g) (C.Incremental.spanner inc)));
+    check (Printf.sprintf "tick %d: held CSR inside graph" tick) true
+      (Ugraph.n sg = Ugraph.n g
+      && Ugraph.fold_edges_uv (fun ok u v -> ok && Ugraph.mem_edge g u v) sg
+           true)
+  in
+  let inc, stats = run_trace ~each ~seed:13 ~gseed:1 ~ticks:12 mk in
+  Alcotest.(check (list string))
+    "tick stats" golden_stats (List.map stats_line stats);
+  Alcotest.(check string)
+    "final spanner digest" golden_digest
+    (edges_digest (C.Incremental.spanner inc))
 
 let test_churn_validity () =
   List.iter
@@ -301,6 +361,7 @@ let () =
           Alcotest.test_case "traces valid" `Quick test_churn_validity;
           Alcotest.test_case "per-tick valid" `Quick
             test_churn_validity_per_tick;
+          Alcotest.test_case "golden trace" `Quick test_churn_golden;
           Alcotest.test_case "determinism" `Quick test_churn_determinism;
           Alcotest.test_case "faulted determinism" `Quick
             test_churn_faulted_determinism;

@@ -324,6 +324,36 @@ let replies_of conn =
          | Ok r -> r
          | Error e -> Alcotest.failf "reply %S unparseable: %s" l e)
 
+(* QUERY after a CHURN must read the repaired spanner: every edge of
+   the resident graph answers PATH with at most 2 hops, each hop an
+   edge of the post-tick graph (a stale spanner would route through
+   deleted edges), and STATS counts the spanner the CHURN ack
+   reported. *)
+let check_post_churn conn service ~what ~ack_spanner =
+  let g = Option.get (Net.Service.graph service) in
+  Ugraph.iter_edges_uv
+    (fun u v ->
+      feed_all conn service (Printf.sprintf "QUERY %d %d\n" u v);
+      match replies_of conn with
+      | [ Wire.Path p ] ->
+          check
+            (Printf.sprintf "%s: edge %d-%d answered within 2 hops" what u v)
+            true
+            (List.length p <= 3
+            && List.hd p = u
+            && List.nth p (List.length p - 1) = v
+            && List.for_all2 (Ugraph.mem_edge g)
+                 (List.filteri (fun i _ -> i < List.length p - 1) p)
+                 (List.tl p))
+      | _ -> Alcotest.failf "%s: QUERY %d %d should answer PATH" what u v)
+    g;
+  feed_all conn service "STATS\n";
+  match replies_of conn with
+  | [ Wire.Stats_reply fields ] ->
+      check_int (what ^ ": STATS spanner_edges = ack spanner") ack_spanner
+        (int_of_float (List.assoc "spanner_edges" fields))
+  | _ -> Alcotest.failf "%s: STATS reply shape" what
+
 let test_service_semantics () =
   let service = Net.Service.create () in
   let conn = Conn.create () in
@@ -366,16 +396,62 @@ let test_service_semantics () =
      repair runs, and the daemon's answer matches a direct
      Incremental run on the same graph. *)
   feed_all conn service "CHURN -0-1 +0-4\n";
-  (match replies_of conn with
-  | [ Wire.Churned { tick = 1; deleted = 1; inserted = 1; valid; _ } ] ->
-      check "repair left a valid spanner" true valid
-  | _ -> Alcotest.fail "CHURN reply shape");
+  let ack_spanner =
+    match replies_of conn with
+    | [
+     Wire.Churned
+       { tick = 1; deleted = 1; inserted = 1; valid; broken; spanner; _ };
+    ] ->
+        check "repair left a valid spanner" true valid;
+        check "the chord broke a certificate" true (broken >= 1);
+        spanner
+    | _ -> Alcotest.fail "CHURN reply shape"
+  in
+  check_post_churn conn service ~what:"cycle" ~ack_spanner;
   (* The deleted edge is gone: 0-1 now resolves through the repaired
      spanner (or not at all), and the service still answers. *)
   feed_all conn service "QUERY 0 1\n";
   (match replies_of conn with
   | [ Wire.Path _ ] | [ Wire.Nopath (0, 1) ] -> ()
   | _ -> Alcotest.fail "post-churn QUERY should answer PATH or NOPATH");
+  (* On a triangle-rich graph, take a vertex with both spanner edges
+     (1-hop QUERY paths) and non-spanner edges, and delete all of its
+     spanner edges: each remaining edge at that vertex loses every
+     certificate, the repair must re-cover it, and QUERY must see the
+     result. *)
+  feed_all conn service "LOAD caveman 24 0.1 7\n";
+  ignore (replies_of conn);
+  let g = Option.get (Net.Service.graph service) in
+  let hops u v =
+    feed_all conn service (Printf.sprintf "QUERY %d %d\n" u v);
+    match replies_of conn with
+    | [ Wire.Path p ] -> List.length p - 1
+    | _ -> Alcotest.failf "caveman: QUERY %d %d should answer PATH" u v
+  in
+  let rec pick u =
+    if u >= Ugraph.n g then Alcotest.fail "caveman: no mixed vertex"
+    else
+      let direct, detour =
+        List.partition
+          (fun v -> hops u v = 1)
+          (Array.to_list (Ugraph.neighbors g u))
+      in
+      if direct <> [] && detour <> [] then (u, direct) else pick (u + 1)
+  in
+  let u, direct = pick 0 in
+  feed_all conn service
+    ("CHURN "
+    ^ String.concat " " (List.map (fun v -> Printf.sprintf "-%d-%d" u v) direct)
+    ^ "\n");
+  let ack_spanner =
+    match replies_of conn with
+    | [ Wire.Churned { valid; broken; spanner; _ } ] ->
+        check "caveman repair valid" true valid;
+        check "the deletions broke a certificate" true (broken >= 1);
+        spanner
+    | _ -> Alcotest.fail "caveman CHURN reply shape"
+  in
+  check_post_churn conn service ~what:"caveman" ~ack_spanner;
   (* Connection-scoped verbs routed to the service are a gentle
      programming-error ERR, not a crash. *)
   (match Net.Service.handle service Wire.Subscribe with
