@@ -214,14 +214,6 @@ let classify ~floor_ms path =
   else if contains path "_ms" || has_prefix "wall_clock" path then
     Timing floor_ms
   else if contains path "_us" then Timing (floor_ms *. 1e3)
-  else if
-    (* Serve-section throughput: run-to-run noisy, and higher is
-       better — the Timing rule's direction is wrong for it, so it is
-       excluded from gating rather than gated backwards. *)
-    has_prefix "serve/" path
-    && (has_suffix "qps" path || has_suffix "queries" path
-       || has_suffix "secs" path)
-  then Skip
   else Exact
 
 (* ---- comparison --------------------------------------------------- *)

@@ -27,11 +27,13 @@ let run ?rng ?seed ?max_iterations
       Two_spanner_engine.graph = g;
       targets = clients;
       usable = servers;
-      weight = (fun _ _ -> 1.0);
-      candidate_ok = (fun _ rho -> rho >= 0.5);
-      terminate_ok = (fun _ max_rho -> max_rho < 0.5);
       finalize = (fun e -> Edge.Set.mem e both);
-      dominance_includes_terminated = true;
+      rules =
+        {
+          Two_spanner_engine.unweighted with
+          candidate_ok = (fun _ rho -> rho >= 0.5);
+          terminate_ok = (fun _ max_rho -> max_rho < 0.5);
+        };
       selection;
     }
   in

@@ -81,7 +81,6 @@ let spanner t = t.spanner
 let uncovered t = t.uncovered
 let uncovered_count t = Edge.Set.cardinal t.uncovered
 let all_covered t = Edge.Set.is_empty t.uncovered
-let is_covered t e = not (Edge.Set.mem e t.uncovered)
 let hv t v = t.hv.(v)
 let usable_neighbors t v = t.usable_adj.(v)
 let uncovered_incident t v = t.incident.(v)

@@ -23,7 +23,6 @@ val spanner : t -> Edge.Set.t
 val uncovered : t -> Edge.Set.t
 val uncovered_count : t -> int
 val all_covered : t -> bool
-val is_covered : t -> Edge.t -> bool
 
 val hv : t -> int -> Edge.Set.t
 (** Still-uncovered targets 2-spannable by the full usable star of the

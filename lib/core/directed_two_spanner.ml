@@ -15,7 +15,6 @@ type result = {
    the spanner or the spanner holds a directed 2-path u -> z -> w.    *)
 
 type cover = {
-  n : int;
   g : Dgraph.t;
   mutable spanner : Dset.t;
   out_h : Iset.t array;  (* spanner out-neighbors *)
@@ -37,7 +36,6 @@ let cover_create g =
   let n = Dgraph.n g in
   let c =
     {
-      n;
       g;
       spanner = Dset.empty;
       out_h = Array.make n Iset.empty;
@@ -192,199 +190,77 @@ let extend_directed c v ~start ~allowed ~threshold =
   List.sort_uniq compare !selection
 
 (* ------------------------------------------------------------------ *)
-
-type vstate = {
-  mutable rho : float;  (* 2-approximate directed density *)
-  mutable exp : int;  (* monotone rounded exponent; min_int = zero *)
-  mutable dirty : bool;
-  mutable star : int list;
-  mutable star_exp : int;
-  mutable terminated : bool;
-}
-
-let rounds_per_iteration = 8
-
-let log2_ceil x =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  go 0 x
+(* The directed variant of the Section 4 loop.                        *)
 
 let run ?rng ?max_iterations g =
   let rng = match rng with Some r -> r | None -> Rng.create 0xD17EC7 in
-  let n = Dgraph.n g in
-  let max_iterations =
-    match max_iterations with
-    | Some m -> m
-    | None ->
-        (10
-        * (log2_ceil (n + 2) + 2)
-        * (log2_ceil (Dgraph.max_degree g + 2) + 2))
-        + 100
-  in
   let cover = cover_create g in
-  let st =
-    Array.init n (fun _ ->
-        {
-          rho = 0.0;
-          exp = min_int;
-          dirty = true;
-          star = [];
-          star_exp = min_int;
-          terminated = false;
-        })
-  in
-  let mark_dirty v = st.(v).dirty <- true in
-  let refresh () =
-    for v = 0 to n - 1 do
-      if st.(v).dirty then begin
-        st.(v).dirty <- false;
-        let rho =
-          if Dset.is_empty cover.hv.(v) then 0.0
-          else
-            match Star_pick.densest (shadow_problem cover v) with
-            | None -> 0.0
-            | Some (sel, _) -> directed_density cover v sel
-        in
-        st.(v).rho <- rho;
-        let fresh_exp =
-          match Star_pick.rounded_exponent rho with
-          | None -> min_int
-          | Some e -> e
-        in
-        (* Footnote 7: the approximate rounded density is kept monotone
-           non-increasing across iterations. *)
-        st.(v).exp <-
-          (if st.(v).exp = min_int then fresh_exp
-           else min st.(v).exp fresh_exp)
-      end
-    done
-  in
-  let und_neighbors v = Dgraph.undirected_neighbors g v in
-  let two_hop_max value =
-    let one = Array.make n neg_infinity in
-    for v = 0 to n - 1 do
-      one.(v) <-
-        Dgraph.fold_undirected_neighbors
-          (fun m u -> max m (value u))
-          g v (value v)
-    done;
-    Array.init n (fun v ->
-        Dgraph.fold_undirected_neighbors
-          (fun acc u -> max acc one.(u))
-          g v one.(v))
-  in
+  (* Every existing orientation of each chosen star edge. *)
   let orientations v u =
-    let s = ref Dset.empty in
-    if Dgraph.mem_edge g u v then s := Dset.add (u, v) !s;
-    if Dgraph.mem_edge g v u then s := Dset.add (v, u) !s;
-    !s
+    (if Dgraph.mem_edge g v u then [ (v, u) ] else [])
+    @ if Dgraph.mem_edge g u v then [ (u, v) ] else []
   in
-  let iterations = ref 0 and stars_added = ref 0 and candidate_count = ref 0 in
-  let n4 =
-    let f = float_of_int (max n 2) ** 4.0 in
-    if f > 1e15 then 1_000_000_000_000_000 else int_of_float f + 16
-  in
-  let all_terminated () = Array.for_all (fun s -> s.terminated) st in
-  while not (all_terminated ()) do
-    incr iterations;
-    if !iterations > max_iterations then
-      failwith "Directed_two_spanner.run: iteration limit exceeded";
-    refresh ();
-    let exp_of v =
-      if st.(v).exp = min_int then neg_infinity else float_of_int st.(v).exp
+  (* The Section 4.1 choice at an eighth of the rounded density (the
+     shadow density is a 2-approximation). *)
+  let choose v ~stored:(star, star_exp) ~level =
+    let threshold = Star_pick.pow2 level /. 8.0 in
+    let fresh () =
+      match Star_pick.densest (shadow_problem cover v) with
+      | Some (sel, _) when sel <> [] ->
+          extend_directed cover v ~start:sel
+            ~allowed:(Array.to_list (Dgraph.undirected_neighbors g v))
+            ~threshold
+      | _ -> []
     in
-    let max_exp = two_hop_max exp_of in
-    let candidates = ref [] in
-    for v = 0 to n - 1 do
-      let s = st.(v) in
-      if
-        (not s.terminated)
-        && s.exp <> min_int
-        && float_of_int s.exp >= max_exp.(v)
-        && s.rho >= 1.0
-      then begin
-        let level = s.exp in
-        let threshold = Star_pick.pow2 level /. 8.0 in
-        let allowed_all = Array.to_list (und_neighbors v) in
-        let fresh () =
-          match Star_pick.densest (shadow_problem cover v) with
-          | Some (sel, _) when sel <> [] ->
-              extend_directed cover v ~start:sel ~allowed:allowed_all
-                ~threshold
-          | _ -> []
-        in
-        let selection =
-          if s.star_exp = level && s.star <> [] then
-            if directed_density cover v s.star >= threshold then s.star
+    let selection =
+      if star_exp = level && star <> [] then
+        if directed_density cover v star >= threshold then star
+        else
+          match
+            Star_pick.densest_within (shadow_problem cover v) ~allowed:star
+          with
+          | Some (inner, _)
+            when inner <> [] && directed_density cover v inner >= threshold
+            ->
+              extend_directed cover v ~start:inner ~allowed:star ~threshold
+          | _ -> fresh ()
+      else fresh ()
+    in
+    ( selection,
+      if selection = [] then []
+      else Dset.elements (spanned_targets cover v selection) )
+  in
+  let t =
+    Two_spanner_engine.iterate ?max_iterations
+      {
+        topology = Dgraph.underlying g;
+        rules = Two_spanner_engine.unweighted;
+        selection = Votes 0.125;
+        monotone = true;
+        density =
+          (fun v ->
+            if Dset.is_empty cover.hv.(v) then 0.0
             else
-              match
-                Star_pick.densest_within (shadow_problem cover v)
-                  ~allowed:s.star
-              with
-              | Some (inner, _)
-                when inner <> []
-                     && directed_density cover v inner >= threshold ->
-                  extend_directed cover v ~start:inner ~allowed:s.star
-                    ~threshold
-              | _ -> fresh ()
-          else fresh ()
-        in
-        if selection <> [] then begin
-          s.star <- selection;
-          s.star_exp <- level;
-          let covered = spanned_targets cover v selection in
-          if not (Dset.is_empty covered) then begin
-            incr candidate_count;
-            let r = 1 + Rng.int rng n4 in
-            candidates := (v, r, selection, covered) :: !candidates
-          end
-        end
-      end
-    done;
-    (* Votes over directed targets. *)
-    let ballot : (Edge.Directed.t, int * int) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (v, r, _, covered) ->
-        Dset.iter
-          (fun e ->
-            match Hashtbl.find_opt ballot e with
-            | Some key when key <= (r, v) -> ()
-            | _ -> Hashtbl.replace ballot e (r, v))
-          covered)
-      !candidates;
-    let votes = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun _ (_, v) ->
-        Hashtbl.replace votes v
-          (1 + Option.value ~default:0 (Hashtbl.find_opt votes v)))
-      ballot;
-    let additions = ref Dset.empty in
-    List.iter
-      (fun (v, _, selection, covered) ->
-        let received = Option.value ~default:0 (Hashtbl.find_opt votes v) in
-        if 8 * received >= Dset.cardinal covered then begin
-          incr stars_added;
-          List.iter
-            (fun u -> additions := Dset.union (orientations v u) !additions)
-            selection
-        end)
-      !candidates;
-    if not (Dset.is_empty !additions) then
-      cover_add cover !additions ~dirty:mark_dirty;
-    refresh ();
-    let max_rho = two_hop_max (fun v -> st.(v).rho) in
-    let finals = ref Dset.empty in
-    for v = 0 to n - 1 do
-      if (not st.(v).terminated) && max max_rho.(v) 0.0 <= 1.0 then begin
-        st.(v).terminated <- true;
-        finals := Dset.union cover.out_un.(v) (Dset.union cover.in_un.(v) !finals)
-      end
-    done;
-    if not (Dset.is_empty !finals) then cover_add cover !finals ~dirty:mark_dirty
-  done;
+              match Star_pick.densest (shadow_problem cover v) with
+              | None -> 0.0
+              | Some (sel, _) -> directed_density cover v sel);
+        choose;
+        star_edges = (fun v sel -> List.concat_map (orientations v) sel);
+        add = (fun arcs ~dirty -> cover_add cover (Dset.of_list arcs) ~dirty);
+        finals =
+          (fun v ->
+            Dset.elements (Dset.union cover.out_un.(v) cover.in_un.(v)));
+        (* Sequential draws from [rng]; the loop asks in ascending
+           candidate order. *)
+        draw =
+          (fun ~seed:_ ~vertex:_ ~iteration:_ ~bound -> 1 + Rng.int rng bound);
+        uncovered_count = (fun () -> Dset.cardinal cover.uncovered);
+      }
+  in
   {
     spanner = cover.spanner;
-    iterations = !iterations;
-    rounds = rounds_per_iteration * !iterations;
-    stars_added = !stars_added;
-    candidate_count = !candidate_count;
+    iterations = t.iterations;
+    rounds = Two_spanner_engine.rounds_per_iteration * t.iterations;
+    stars_added = t.stars_added;
+    candidate_count = t.candidate_count;
   }

@@ -15,7 +15,15 @@
     the previous iteration's value (the paper's footnote 7).
 
     Communication runs over the underlying undirected topology, per
-    the model of Section 1.5. *)
+    the model of Section 1.5.
+
+    The iteration itself is {!Two_spanner_engine.iterate}, under the
+    paper's {!Two_spanner_engine.unweighted} rules and the [Votes
+    0.125] admission; this module supplies only what is directed: the
+    coverage tracker over directed targets, the shadow-based density,
+    the directed closure of Section 4.1, the orientations a chosen star
+    adds, the monotone exponent, and vote values drawn in sequence from
+    [rng] (in ascending candidate order). *)
 
 open Grapho
 

@@ -9,10 +9,6 @@ type result = {
   rounds : int;
 }
 
-let log2_ceil x =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  go 0 (max 1 x)
-
 let run ?rng ?weights ~epsilon ~k g =
   if epsilon <= 0.0 then invalid_arg "Epsilon_spanner.run: epsilon <= 0";
   if k < 1 then invalid_arg "Epsilon_spanner.run: k < 1";
@@ -124,5 +120,5 @@ let run ?rng ?weights ~epsilon ~k g =
     r;
     colors = decomp.colors;
     balls_processed = !balls;
-    rounds = decomp.colors * 4 * (log2_ceil n + 3) * r;
+    rounds = decomp.colors * 4 * (Star_pick.log2_ceil n + 3) * r;
   }

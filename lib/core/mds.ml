@@ -61,10 +61,7 @@ let run ?rng ?model ?(selection = Votes) ?sched ?par ?adversary ?profile
     | Some m -> m
     | None -> Distsim.Model.congest ~n:(max n 2) ~c:8 ()
   in
-  let n4 =
-    let f = float_of_int (max n 2) ** 4.0 in
-    if f > 1e15 then 1_000_000_000_000_000 else int_of_float f + 16
-  in
+  let n4 = Randomness.vote_bound ~n in
   (* Each vertex gets a private random stream, split deterministically
      from the seed *before* the engine runs; afterwards a vertex only
      ever draws from its own [streams.(vertex)], so stepping vertices
@@ -287,10 +284,7 @@ let greedy g =
 let reference ?rng ?(selection = Votes) g =
   let seed_rng = match rng with Some r -> r | None -> Rng.create 0xD0517 in
   let n = Ugraph.n g in
-  let n4 =
-    let f = float_of_int (max n 2) ** 4.0 in
-    if f > 1e15 then 1_000_000_000_000_000 else int_of_float f + 16
-  in
+  let n4 = Randomness.vote_bound ~n in
   let streams = Array.init n (fun _ -> Rng.split seed_rng) in
   let covered = Array.make n false in
   let in_mds = Array.make n false in

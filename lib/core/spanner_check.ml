@@ -163,10 +163,6 @@ let query_path q sg ~u ~v =
     end
   end
 
-let directed_covers_edge ~n s ~k e =
-  let adj = Traversal.directed_adjacency_of_set ~n s in
-  bounded_reach adj n (Edge.Directed.src e) (Edge.Directed.dst e) k
-
 let directed_uncovered_edges g s ~k =
   let n = Dgraph.n g in
   let adj = Traversal.directed_adjacency_of_set ~n s in
@@ -211,9 +207,3 @@ let stretch g s =
   let adj = Traversal.adjacency_of_set ~n s in
   stretch_generic ~n ~adj ~fold:(fun f init ->
       Ugraph.fold_edges (fun e acc -> f (Edge.endpoints e) acc) g init)
-
-let directed_stretch g s =
-  let n = Dgraph.n g in
-  let adj = Traversal.directed_adjacency_of_set ~n s in
-  stretch_generic ~n ~adj ~fold:(fun f init ->
-      Dgraph.fold_edges (fun e acc -> f e acc) g init)

@@ -77,9 +77,6 @@ val query_path : query -> Ugraph.t -> u:int -> v:int -> int list option
     kernel, stretch pinned by the test suite. Raises
     [Invalid_argument] if [u] or [v] is outside [sg]. *)
 
-val directed_covers_edge :
-  n:int -> Edge.Directed.Set.t -> k:int -> Edge.Directed.t -> bool
-
 val directed_uncovered_edges :
   Dgraph.t -> Edge.Directed.Set.t -> k:int -> Edge.Directed.t list
 
@@ -89,5 +86,3 @@ val stretch : Ugraph.t -> Edge.Set.t -> int
 (** Maximum over edges [{u,v}] of [g] of the distance between [u] and
     [v] in the spanner ([max_int] if some edge is not spanned at all).
     A set is a k-spanner iff its stretch is at most [k]. *)
-
-val directed_stretch : Dgraph.t -> Edge.Directed.Set.t -> int

@@ -114,10 +114,6 @@ let spanned t selection =
       List.fold_left (fun acc e -> Edge.Set.add e acc) acc t.free_edges.(i))
     base ps
 
-let weight_of t selection =
-  let _, weight = selection_stats t selection in
-  weight
-
 let is_unit_weight t = Array.for_all (fun w -> w = 1.0) t.weight
 
 let densest_on t ~allowed_positions =
@@ -263,3 +259,7 @@ let rounded_exponent rho =
     Some e
 
 let pow2 k = Float.ldexp 1.0 k
+
+let log2_ceil x =
+  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
+  go 0 x

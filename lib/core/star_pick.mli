@@ -51,8 +51,6 @@ val spanned : t -> int list -> Edge.Set.t
 (** [H_v]-edges 2-spanned by the star: both endpoints selected, or one
     selected and one free. *)
 
-val weight_of : t -> int list -> float
-
 val densest : t -> (int list * float) option
 (** Maximum-density star over all paying neighbors, via parametric
     flow ({!Netflow.Densest}); [None] when every star has density 0. *)
@@ -86,3 +84,6 @@ val rounded_exponent : float -> int option
     [rho <= 0]. *)
 
 val pow2 : int -> float
+
+val log2_ceil : int -> int
+(** [log2_ceil x] is the least [k] with [2^k >= x]; 0 for [x <= 1]. *)

@@ -16,11 +16,8 @@ let run ?rng ?seed ?max_iterations ?(selection = Two_spanner_engine.Votes 0.125)
       Two_spanner_engine.graph = g;
       targets = edges;
       usable = edges;
-      weight = (fun _ _ -> 1.0);
-      candidate_ok = (fun _ rho -> rho >= 1.0);
-      terminate_ok = (fun _ max_rho -> max_rho <= 1.0);
       finalize = (fun _ -> true);
-      dominance_includes_terminated = true;
+      rules = Two_spanner_engine.unweighted;
       selection;
     }
   in

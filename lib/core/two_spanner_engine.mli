@@ -1,26 +1,31 @@
-(** The distributed 2-spanner algorithm of Section 4, as a generic
-    engine shared by the unweighted (§4), weighted (§4.3.2) and
-    client-server (§4.3.3) variants.
+(** The distributed 2-spanner algorithm of Section 4: the one
+    iteration loop shared by the unweighted (§4), directed (§4.3.1),
+    weighted (§4.3.2) and client-server (§4.3.3) variants.
 
-    The engine executes the paper's iteration faithfully:
+    The loop executes the paper's iteration faithfully:
 
     + every vertex computes its rounded density (densest star over its
-      still-uncovered 2-spannable targets, by parametric flow) and
-      learns the maximum over its 2-neighborhood;
+      still-uncovered 2-spannable targets) and learns the maximum over
+      its 2-neighborhood;
     + vertices whose rounded density attains that maximum (and whose
-      true density passes the variant's candidacy bar) become
-      candidates and choose a star of density at least a quarter of
-      their rounded density, with the monotone star-choice mechanism
-      of Section 4.1;
-    + candidates draw uniform values in [{1..n^4}]; each uncovered
-      target 2-spanned by at least one candidate star votes for the
-      first such candidate in [(value, id)] order;
+      density passes the variant's candidacy bar) become candidates
+      and choose a star with the star-choice mechanism of Section 4.1;
+    + candidates draw values in [{1..n^4}]; each uncovered target
+      2-spanned by at least one candidate star votes for the first
+      such candidate in [(value, id)] order;
     + a candidate star receiving at least an eighth of the votes of
       the targets it 2-spans joins the spanner;
     + coverage and the sets [H_v] are updated, and a vertex whose
       2-neighborhood's maximal density has dropped to the variant's
       floor terminates, adding its remaining uncovered incident
       targets (those the variant allows).
+
+    A variant supplies its {!rules} and, as a {!variant} record, its
+    coverage relation and star oracle; {!iterate} is the loop itself.
+    The undirected variants describe their instance as a {!spec} and
+    call {!run}, which builds the oracle from {!Cover2} and
+    {!Star_pick}; {!Directed_two_spanner} builds its own over directed
+    targets.
 
     Every decision of a vertex reads only its own state and its
     2-neighborhood, so each iteration is implementable in O(1) LOCAL
@@ -29,37 +34,37 @@
 
 open Grapho
 
-type spec = {
-  graph : Ugraph.t;  (** communication topology *)
-  targets : Edge.Set.t;  (** edges that must be covered *)
-  usable : Edge.Set.t;  (** edges the spanner may use *)
+type rules = {
   weight : int -> int -> float;
-      (** cost of a usable edge, queried by endpoints so hot loops
-          never allocate an [Edge.t] per probe (see
+      (** cost of a star edge, queried by endpoints so hot loops never
+          allocate an [Edge.t] per probe (see
           [Grapho.Weights.get_uv]); weight-zero edges are added to the
           spanner up front, as the weighted variant prescribes *)
   candidate_ok : int -> float -> bool;
-      (** [candidate_ok v rho]: may [v] (true density [rho]) stand as
-          a candidate? (unweighted: [rho >= 1]) *)
+      (** [candidate_ok v rho]: may [v] (density [rho]) stand as a
+          candidate? (unweighted: [rho >= 1]) *)
   terminate_ok : int -> float -> bool;
       (** [terminate_ok v max_rho]: does [v] terminate when the
-          maximal true density in its 2-neighborhood is [max_rho]?
+          maximal density in its 2-neighborhood is [max_rho]?
           (unweighted: [max_rho <= 1]) *)
-  finalize : Edge.t -> bool;
-      (** which of [v]'s uncovered incident targets are added on
-          termination (they must be usable) *)
   dominance_includes_terminated : bool;
-      (** whether terminated vertices still take part in the rounded-
-          density maxima that gate candidacy. The paper compares
-          against the whole 2-neighborhood (true); the weighted
-          variant's per-vertex termination floors make that unsafe
-          against stalls, so it passes false. *)
-  selection : selection;
-      (** how candidate stars are admitted to the spanner; the paper's
-          rule is [Votes 0.125] *)
+      (** whether terminated vertices still take part in the density
+          maxima that gate candidacy and termination. The paper
+          compares against the whole 2-neighborhood (true); the
+          weighted variant's per-vertex termination floors make that
+          unsafe against stalls, so it passes false. *)
 }
+(** The per-vertex rules a variant sets. {!Two_spanner_local} reads
+    the same values, so the engine and the message-passing protocol
+    share one definition of each variant. *)
 
-and selection =
+val unweighted : rules
+(** The paper's rules (§4): unit weights, candidacy at [rho >= 1],
+    termination once the 2-neighborhood's maximal density is at most
+    1, terminated vertices counted in the maxima. The unweighted and
+    directed variants use them. *)
+
+type selection =
   | Votes of float
       (** the paper's voting scheme: a star joins when it receives at
           least the given fraction of the votes of the targets it
@@ -69,6 +74,20 @@ and selection =
           acceptance probability — the Dinitz–Krauthgamer-style rule
           whose ratio holds only in expectation; kept as a baseline *)
   | All  (** every candidate star joins; degrades the ratio *)
+
+type spec = {
+  graph : Ugraph.t;  (** communication topology *)
+  targets : Edge.Set.t;  (** edges that must be covered *)
+  usable : Edge.Set.t;  (** edges the spanner may use *)
+  finalize : Edge.t -> bool;
+      (** which of [v]'s uncovered incident targets are added on
+          termination (they must be usable) *)
+  rules : rules;
+  selection : selection;
+      (** how candidate stars are admitted to the spanner; the paper's
+          rule is [Votes 0.125] *)
+}
+(** An undirected instance: unweighted, weighted or client-server. *)
 
 type iteration_stats = {
   iteration : int;
@@ -123,3 +142,57 @@ val run :
     iterations by [Trace.series]) and ["votes"] (ballots cast). The
     legacy [trace] callback still delivers one {!iteration_stats} row
     per iteration. *)
+
+(** {1 The loop} *)
+
+type 'e variant = {
+  topology : Ugraph.t;
+      (** communication graph: the 2-hop maxima run over it *)
+  rules : rules;  (** the loop reads all but [weight] *)
+  selection : selection;
+  monotone : bool;
+      (** cap each vertex's rounded exponent by its previous value
+          (footnote 7; the directed variant, whose densities are
+          2-approximate) *)
+  density : int -> float;
+      (** the density of the vertex's densest star over its current
+          [H_v] (0 when [H_v] is empty); called again only after the
+          vertex was marked dirty by [add] *)
+  choose : int -> stored:int list * int -> level:int -> int list * 'e list;
+      (** the Section 4.1 choice at rounded-density level [level], given
+          the stored star and the level it was chosen at: the selected
+          neighbors and the uncovered targets the star 2-spans
+          ([[]] for both when no star qualifies) *)
+  star_edges : int -> int list -> 'e list;
+      (** the spanner edges a chosen star adds *)
+  add : 'e list -> dirty:(int -> unit) -> unit;
+      (** put edges into the spanner, update coverage and the [H_v]
+          sets, and call [dirty] on every vertex whose [H_v] changed *)
+  finals : int -> 'e list;
+      (** the uncovered incident targets a terminating vertex adds *)
+  draw : seed:int -> vertex:int -> iteration:int -> bound:int -> int;
+      (** a candidate's vote value in [{1..bound}]; called once per
+          candidacy, in ascending vertex order within an iteration *)
+  uncovered_count : unit -> int;
+}
+(** A variant's coverage relation (over targets of type ['e]) and star
+    oracle. *)
+
+type tally = {
+  iterations : int;
+  stars_added : int;
+  candidate_count : int;
+  votes_cast : int;
+}
+
+val iterate :
+  ?rng:Rng.t ->
+  ?seed:int ->
+  ?max_iterations:int ->
+  ?trace:(iteration_stats -> unit) ->
+  ?sink:Distsim.Trace.sink ->
+  'e variant ->
+  tally
+(** Runs the loop to global termination, with the defaults, seed
+    derivation, failure and tracing described at {!run}; the iteration
+    guard's [Δ] is the topology's maximum degree. *)

@@ -46,23 +46,6 @@ type result = {
   metrics : Distsim.Engine.metrics;
 }
 
-(* The variant knobs, mirroring Two_spanner_engine.spec. *)
-type variant = {
-  weight : int -> int -> float;
-      (* endpoint-keyed so weight probes allocate no [Edge.t] *)
-  candidate_ok : int -> float -> bool;
-  terminate_ok : int -> float -> bool;
-  dominance_includes_terminated : bool;
-}
-
-let unweighted_variant =
-  {
-    weight = (fun _ _ -> 1.0);
-    candidate_ok = (fun _ rho -> rho >= 1.0);
-    terminate_ok = (fun _ max_rho -> max_rho <= 1.0);
-    dominance_includes_terminated = true;
-  }
-
 let rounds_per_iteration = 12
 let warmup_rounds = 3
 
@@ -112,7 +95,7 @@ let congest_phases ~chunks_per_round r =
    {!Randomness.vote_value} — no shared RNG, no cross-vertex writes —
    so stepping vertices on concurrent domains is race-free by
    construction. *)
-let make_spec ~seed ~variant g =
+let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
   let n = Ugraph.n g in
   let n4 = Randomness.vote_bound ~n in
   (* Broadcast = push one message per neighbor into the engine's
@@ -130,7 +113,7 @@ let make_spec ~seed ~variant g =
   in
   let problem vertex st =
     Star_pick.make ~center:vertex ~nodes:st.paying ~free:st.free
-      ~weight:(fun u -> variant.weight vertex u)
+      ~weight:(fun u -> rules.weight vertex u)
       ~hv_edges:st.hv ()
   in
   let compute_density vertex st =
@@ -237,7 +220,7 @@ let make_spec ~seed ~variant g =
         let paying = ref [] and free = ref [] in
         Array.iter
           (fun u ->
-            if variant.weight vertex u = 0.0 then free := u :: !free
+            if rules.weight vertex u = 0.0 then free := u :: !free
             else paying := u :: !paying)
           neighbors;
         (* Weight-zero edges enter the spanner before the first
@@ -255,7 +238,7 @@ let make_spec ~seed ~variant g =
             uncovered_inc =
               Array.fold_left
                 (fun s u ->
-                  if variant.weight vertex u = 0.0 then s else Iset.add u s)
+                  if rules.weight vertex u = 0.0 then s else Iset.add u s)
                 Iset.empty neighbors;
             h_adj = Array.fold_left (fun s u -> Iset.add u s) Iset.empty free;
             hv = Edge.Set.empty;
@@ -305,7 +288,7 @@ let make_spec ~seed ~variant g =
               broadcast st out (Density (st.exp, st.terminated))
           | 1 ->
               let own =
-                if st.terminated && not variant.dominance_includes_terminated
+                if st.terminated && not rules.dominance_includes_terminated
                 then min_int
                 else st.exp
               in
@@ -314,7 +297,7 @@ let make_spec ~seed ~variant g =
                   (fun acc ~src:_ msg ->
                     match msg with
                     | Density (e, t) ->
-                        if t && not variant.dominance_includes_terminated
+                        if t && not rules.dominance_includes_terminated
                         then acc
                         else max acc e
                     | _ -> acc)
@@ -334,7 +317,7 @@ let make_spec ~seed ~variant g =
                 (not st.terminated)
                 && st.exp <> min_int
                 && st.exp >= max2
-                && variant.candidate_ok vertex st.rho
+                && rules.candidate_ok vertex st.rho
               then begin
                 (* hv is untouched since phase 0, so the problem
                    built by [compute_density] is still valid. *)
@@ -477,7 +460,7 @@ let make_spec ~seed ~variant g =
               broadcast st out (Rho (st.rho, st.terminated))
           | 8 ->
               let exclude t =
-                t && not variant.dominance_includes_terminated
+                t && not rules.dominance_includes_terminated
               in
               let own_rho = if exclude st.terminated then 0.0 else st.rho in
               let m = ref own_rho in
@@ -506,7 +489,7 @@ let make_spec ~seed ~variant g =
                 inbox;
               if
                 (not st.terminated)
-                && variant.terminate_ok vertex (Float.max !max2_rho 0.0)
+                && rules.terminate_ok vertex (Float.max !max2_rho 0.0)
               then begin
                 st.terminated <- true;
                 let finals = uncovered_list st in
@@ -572,37 +555,14 @@ let run ?(seed = 0x2D5F1) ?max_rounds ?sched ?par ?adversary ?profile ?frugal
        ?active ~trace
        ~model:Distsim.Model.local ~graph:g
        (Distsim.Faults.with_retry ~attempts:retry
-          (make_spec ~seed ~variant:unweighted_variant g)))
+          (make_spec ~seed ~rules:Two_spanner_engine.unweighted g)))
 
-(* The weighted variant of Section 4.3.2, mirroring
-   Weighted_two_spanner's engine configuration. The per-vertex
-   termination floors 1/wmax (wmax over the closed 2-neighborhood) are
-   static topology data, precomputed the way vertices' knowledge of
-   their neighbors is. *)
+(* The weighted variant of Section 4.3.2 under Weighted_two_spanner's
+   rules, whose per-vertex termination floors are static topology data,
+   precomputed the way vertices' knowledge of their neighbors is. *)
 let run_weighted ?(seed = 0x2D5F1) ?max_rounds ?sched ?par ?adversary
     ?profile ?frugal ?(retry = 1) ?(trace = Distsim.Trace.null) g w =
   let n = Ugraph.n g in
-  let own = Array.make n 0.0 in
-  for v = 0 to n - 1 do
-    own.(v) <-
-      Ugraph.fold_neighbors
-        (fun acc u -> Float.max acc (Weights.get_uv w v u))
-        g v 0.0
-  done;
-  let hop a =
-    Array.init n (fun v ->
-        Ugraph.fold_neighbors (fun acc u -> Float.max acc a.(u)) g v a.(v))
-  in
-  let wmax2 = hop (hop own) in
-  let floor_of v = if wmax2.(v) > 0.0 then 1.0 /. wmax2.(v) else infinity in
-  let variant =
-    {
-      weight = Weights.get_uv w;
-      candidate_ok = (fun _ rho -> rho > 0.0);
-      terminate_ok = (fun v max_rho -> max_rho <= floor_of v);
-      dominance_includes_terminated = false;
-    }
-  in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 400 * (n + 20)
   in
@@ -610,7 +570,8 @@ let run_weighted ?(seed = 0x2D5F1) ?max_rounds ?sched ?par ?adversary
   collect_result
     (Distsim.Engine.run ~max_rounds ?sched ?par ?adversary ?profile ?frugal
        ~trace ~model:Distsim.Model.local ~graph:g
-       (Distsim.Faults.with_retry ~attempts:retry (make_spec ~seed ~variant g)))
+       (Distsim.Faults.with_retry ~attempts:retry
+          (make_spec ~seed ~rules:(Weighted_two_spanner.rules g w) g)))
 
 (* ------------------------------------------------------------------ *)
 (* CONGEST compilation: every protocol message is a short list of
@@ -701,4 +662,4 @@ let run_congest ?(seed = 0x2D5F1) ?max_rounds ?chunks_per_round ?sched ?par
   collect_result
     (Distsim.Chunked.run ~max_rounds ?sched ?par ?adversary ?profile ?frugal
        ?retry ?audit ~trace ~model ~graph:g ~chunks_per_round ~encode ~decode
-       (make_spec ~seed ~variant:unweighted_variant g))
+       (make_spec ~seed ~rules:Two_spanner_engine.unweighted g))

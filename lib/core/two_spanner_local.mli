@@ -23,9 +23,11 @@
     Vote values come from {!Randomness} keyed on [(seed, vertex,
     iteration)], exactly as in {!Two_spanner_engine}: running both
     with the same seed on the same graph yields the {e identical}
-    spanner — the differential tests assert this equality. Only the
-    unweighted undirected variant is realized here; the variants share
-    the engine. *)
+    spanner — the differential tests assert this equality. The
+    unweighted ({!run}, {!run_congest}) and weighted ({!run_weighted})
+    variants are realized here, under the same
+    {!Two_spanner_engine.rules} values the engine runs with
+    ({!Two_spanner_engine.unweighted}, {!Weighted_two_spanner.rules}). *)
 
 open Grapho
 
@@ -103,8 +105,9 @@ val run :
     valid 2-spanner {e of the induced subgraph}, with edges named in
     global ids — the repair primitive {!Incremental} unions it into
     the surviving spanner. [max_rounds] defaults to
-    [200 * (|active| + 20)]. Incompatible with [?frugal] and
-    [?adversary] (engine restriction). *)
+    [200 * (|active| + 20)]. Incompatible with [?frugal] (engine
+    restriction); [?adversary] composes with it, as on {!Incremental}'s
+    faulted ticks. *)
 
 val run_weighted :
   ?seed:int ->

@@ -26,22 +26,27 @@ let wmax_two_hop g w =
   in
   hop (hop own)
 
-let run ?rng ?seed ?max_iterations ?(selection = Two_spanner_engine.Votes 0.125) g w =
-  let edges = Ugraph.edge_set g in
+let rules g w =
   let wmax2 = wmax_two_hop g w in
   let floor_of v = if wmax2.(v) > 0.0 then 1.0 /. wmax2.(v) else infinity in
+  {
+    Two_spanner_engine.weight = Weights.get_uv w;
+    (* The weighted variant places no density floor on candidacy
+       (stars of density below 1 are expressly allowed, §4.3.2). *)
+    candidate_ok = (fun _ rho -> rho > 0.0);
+    terminate_ok = (fun v max_rho -> max_rho <= floor_of v);
+    dominance_includes_terminated = false;
+  }
+
+let run ?rng ?seed ?max_iterations ?(selection = Two_spanner_engine.Votes 0.125) g w =
+  let edges = Ugraph.edge_set g in
   let spec =
     {
       Two_spanner_engine.graph = g;
       targets = edges;
       usable = edges;
-      weight = Weights.get_uv w;
-      (* The weighted variant places no density floor on candidacy
-         (stars of density below 1 are expressly allowed, §4.3.2). *)
-      candidate_ok = (fun _ rho -> rho > 0.0);
-      terminate_ok = (fun v max_rho -> max_rho <= floor_of v);
       finalize = (fun _ -> true);
-      dominance_includes_terminated = false;
+      rules = rules g w;
       selection;
     }
   in

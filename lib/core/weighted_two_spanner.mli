@@ -12,6 +12,13 @@
 
 open Grapho
 
+val rules : Ugraph.t -> Weights.t -> Two_spanner_engine.rules
+(** The weighted rules, shared with {!Two_spanner_local.run_weighted}:
+    weights [w], candidacy at any positive density, termination once
+    the 2-neighborhood's maximal density is at most [1/wmax(v)] (wmax
+    over the closed 2-neighborhood; no floor when it is 0), terminated
+    vertices left out of the maxima. *)
+
 type result = {
   spanner : Edge.Set.t;
   cost : float;

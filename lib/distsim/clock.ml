@@ -9,5 +9,3 @@
 
 let now_s () = Unix.gettimeofday ()
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-let ms_of_ns ns = float_of_int ns /. 1e6
-let us_of_ns ns = float_of_int ns /. 1e3

@@ -10,9 +10,3 @@ val now_s : unit -> float
 val now_ns : unit -> int
 (** Nanoseconds since the Unix epoch (microsecond-granular). Fits an
     OCaml 63-bit int until the year 2262. *)
-
-val ms_of_ns : int -> float
-(** Convert a nanosecond count (or span) to milliseconds. *)
-
-val us_of_ns : int -> float
-(** Convert a nanosecond count (or span) to microseconds. *)

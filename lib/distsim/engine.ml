@@ -31,9 +31,6 @@ let inbox_create ?(hint = 0) () =
   { i_src = [||]; i_msg = [||]; i_len = 0; i_hint = hint }
 
 let inbox_clear ib = ib.i_len <- 0
-let inbox_length ib = ib.i_len
-let inbox_src ib i = ib.i_src.(i)
-let inbox_payload ib i = ib.i_msg.(i)
 
 let inbox_push ib ~src msg =
   let cap = Array.length ib.i_msg in

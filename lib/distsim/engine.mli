@@ -37,12 +37,6 @@ type 'msg outbox
     drains and reuses. Valid only for the duration of the [init]/[step]
     call it is passed to. *)
 
-val inbox_length : 'msg inbox -> int
-val inbox_src : 'msg inbox -> int -> int
-(** [inbox_src ib i] is the sender of the [i]-th message, [0 <= i <
-    inbox_length ib]. No bounds check beyond the array's own. *)
-
-val inbox_payload : 'msg inbox -> int -> 'msg
 val inbox_iter : (src:int -> 'msg -> unit) -> 'msg inbox -> unit
 val inbox_fold : ('a -> src:int -> 'msg -> 'a) -> 'a -> 'msg inbox -> 'a
 

@@ -171,14 +171,6 @@ let markers t = t.stats.markers
 let auto_armed t = t.stats.auto_armed
 let auto_disarmed t = t.stats.auto_disarmed
 
-let reset_stats t =
-  t.stats.publishes <- 0;
-  t.stats.collects <- 0;
-  t.stats.suppressed <- 0;
-  t.stats.markers <- 0;
-  t.stats.auto_armed <- 0;
-  t.stats.auto_disarmed <- 0
-
 (* ------------------------------------------------------------------ *)
 (* The per-run physical stream.
 

@@ -26,7 +26,7 @@
     afresh by every [Engine.run]; a [t] is safely reused across runs
     and schedulers. The {!stats}
     counters accumulate across every run the value observes, like a
-    [Profile.t] — call {!reset_stats} between A/B measurements. *)
+    [Profile.t]; use a fresh [t] per measurement. *)
 
 type t
 
@@ -114,8 +114,6 @@ val auto_armed : t -> int
 
 val auto_disarmed : t -> int
 (** Runs in which an [Auto] window decided to stay at parity. *)
-
-val reset_stats : t -> unit
 
 (** {1 The per-run physical stream}
 

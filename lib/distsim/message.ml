@@ -6,8 +6,5 @@ let bits_int v =
   if v < 0 then invalid_arg "Message.bits_int: negative";
   bits_for_id ~n:v
 
-let bits_float = 64
 let bits_list f l = List.fold_left (fun acc x -> acc + f x) 0 l
-let bits_pair f g (a, b) = f a + g b
 let bits_option f = function None -> 1 | Some x -> 1 + f x
-let bits_bool = 1

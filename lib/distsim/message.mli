@@ -10,10 +10,5 @@ val bits_for_id : n:int -> int
 val bits_int : int -> int
 (** Bits of a concrete non-negative integer value (at least 1). *)
 
-val bits_float : int
-(** We charge 64 bits for a float. *)
-
 val bits_list : ('a -> int) -> 'a list -> int
-val bits_pair : ('a -> int) -> ('b -> int) -> 'a * 'b -> int
 val bits_option : ('a -> int) -> 'a option -> int
-val bits_bool : int

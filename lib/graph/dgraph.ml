@@ -172,47 +172,13 @@ let row_len ptr u =
 
 let out_degree g u = row_len g.out_ptr u
 let in_degree g u = row_len g.in_ptr u
-let degree g u = out_degree g u + in_degree g u
-
-let max_degree g =
-  let best = ref 0 in
-  for u = 0 to g.n - 1 do
-    best := max !best (degree g u)
-  done;
-  !best
 
 let row_array ptr col u =
   let lo = Bigarray.Array1.get ptr u and hi = Bigarray.Array1.get ptr (u + 1) in
   Array.init (hi - lo) (fun i -> Bigarray.Array1.unsafe_get col (lo + i))
 
 let out_neighbors g u = row_array g.out_ptr g.out_col u
-let in_neighbors g u = row_array g.in_ptr g.in_col u
 let undirected_neighbors g u = row_array g.und_ptr g.und_col u
-
-(* Direct loops over the flat rows, mirroring
-   [Ugraph.iter_neighbors]/[fold_neighbors]. *)
-let iter_row f ptr col u =
-  let lo = Bigarray.Array1.get ptr u and hi = Bigarray.Array1.get ptr (u + 1) in
-  for i = lo to hi - 1 do
-    f (Bigarray.Array1.unsafe_get col i)
-  done
-
-let fold_row f ptr col u init =
-  let lo = Bigarray.Array1.get ptr u and hi = Bigarray.Array1.get ptr (u + 1) in
-  let acc = ref init in
-  for i = lo to hi - 1 do
-    acc := f !acc (Bigarray.Array1.unsafe_get col i)
-  done;
-  !acc
-
-let iter_out_neighbors f g u = iter_row f g.out_ptr g.out_col u
-let iter_in_neighbors f g u = iter_row f g.in_ptr g.in_col u
-let iter_undirected_neighbors f g u = iter_row f g.und_ptr g.und_col u
-let fold_out_neighbors f g u init = fold_row f g.out_ptr g.out_col u init
-let fold_in_neighbors f g u init = fold_row f g.in_ptr g.in_col u init
-
-let fold_undirected_neighbors f g u init =
-  fold_row f g.und_ptr g.und_col u init
 
 let mem_edge g u v =
   if u = v then false

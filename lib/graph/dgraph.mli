@@ -26,31 +26,11 @@ val m : t -> int
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
-val degree : t -> int -> int
-(** [out_degree + in_degree]: degree in the communication topology,
-    counting an antiparallel pair twice. *)
-
-val max_degree : t -> int
 val out_neighbors : t -> int -> int array
-val in_neighbors : t -> int -> int array
 
 val undirected_neighbors : t -> int -> int array
-(** Sorted, deduplicated union of in- and out-neighbors. Like every
-    [_neighbors] accessor, this copies the CSR row into a fresh
-    array — use the [iter_]/[fold_] variants in per-round hot
-    paths. *)
-
-val iter_out_neighbors : (int -> unit) -> t -> int -> unit
-val iter_in_neighbors : (int -> unit) -> t -> int -> unit
-
-val iter_undirected_neighbors : (int -> unit) -> t -> int -> unit
-(** Direct loops over the respective adjacency rows in ascending
-    order, mirroring {!Ugraph.iter_neighbors}: nothing escapes, no
-    per-element row re-fetch. *)
-
-val fold_out_neighbors : ('a -> int -> 'a) -> t -> int -> 'a -> 'a
-val fold_in_neighbors : ('a -> int -> 'a) -> t -> int -> 'a -> 'a
-val fold_undirected_neighbors : ('a -> int -> 'a) -> t -> int -> 'a -> 'a
+(** Sorted, deduplicated union of in- and out-neighbors. Like
+    {!out_neighbors}, this copies the CSR row into a fresh array. *)
 
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v] tests for the directed edge [u -> v]. *)

@@ -99,15 +99,6 @@ let gnp_connected rng n p =
         emit perm.(i) perm.(i + 1)
       done)
 
-let random_bipartite rng a b p =
-  let edges = ref [] in
-  for u = 0 to a - 1 do
-    for v = a to a + b - 1 do
-      if Rng.float rng 1.0 < p then edges := (u, v) :: !edges
-    done
-  done;
-  Ugraph.of_edges ~n:(a + b) !edges
-
 let preferential_attachment rng n k =
   if n < k + 1 then invalid_arg "Generators.preferential_attachment: n <= k";
   (* Endpoint multiset: picking a uniform element weights by degree.

@@ -27,8 +27,6 @@ val gnp_connected : Rng.t -> int -> float -> Ugraph.t
 (** G(n, p) plus a random Hamiltonian path, guaranteeing connectivity
     without changing the density regime. *)
 
-val random_bipartite : Rng.t -> int -> int -> float -> Ugraph.t
-
 val preferential_attachment : Rng.t -> int -> int -> Ugraph.t
 (** [preferential_attachment rng n k]: Barabási–Albert-style growth,
     each new vertex attaching to [k] existing vertices weighted by

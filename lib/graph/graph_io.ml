@@ -150,25 +150,6 @@ let to_dot ?(highlight = Edge.Set.empty) g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let directed_to_dot ?(highlight = Edge.Directed.Set.empty) g =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "digraph G {\n";
-  for v = 0 to Dgraph.n g - 1 do
-    Buffer.add_string buf (Printf.sprintf "  %d;\n" v)
-  done;
-  Dgraph.iter_edges
-    (fun e ->
-      let u, v = e in
-      let attrs =
-        if Edge.Directed.Set.mem e highlight then
-          " [color=red, penwidth=2.0]"
-        else ""
-      in
-      Buffer.add_string buf (Printf.sprintf "  %d -> %d%s;\n" u v attrs))
-    g;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let weighted_to_edge_list g w =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "%d %d\n" (Ugraph.n g) (Ugraph.m g));

@@ -29,5 +29,3 @@ val weighted_of_edge_list : string -> Ugraph.t * Weights.t
 val to_dot : ?highlight:Edge.Set.t -> Ugraph.t -> string
 (** Graphviz source; edges in [highlight] are drawn bold red (used to
     visualize a spanner inside its graph). *)
-
-val directed_to_dot : ?highlight:Edge.Directed.Set.t -> Dgraph.t -> string

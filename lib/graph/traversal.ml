@@ -155,8 +155,3 @@ let directed_adjacency_of_set ~n set =
 
 let directed_set_distance_within ~n set u v ~bound =
   bounded_bfs ~adj:(directed_adjacency_of_set ~n set) ~n u v ~bound
-
-let directed_bfs_distances g s =
-  bfs_generic ~n:(Dgraph.n g)
-    ~neighbors:(fun u f -> Dgraph.iter_out_neighbors f g u)
-    s

@@ -40,6 +40,3 @@ val directed_adjacency_of_set : n:int -> Edge.Directed.Set.t -> int list array
 val directed_set_distance_within :
   n:int -> Edge.Directed.Set.t -> int -> int -> bound:int -> int
 (** Directed variant of {!set_distance_within}. *)
-
-val directed_bfs_distances : Dgraph.t -> int -> int array
-(** Distances along directed edges from the source. *)

@@ -439,11 +439,6 @@ let fold_vertices f g init =
   done;
   !acc
 
-let iter_vertices f g =
-  for u = 0 to g.n - 1 do
-    f u
-  done
-
 (* Merge-rebuild: stream every surviving edge of [g] plus the inserts
    through the Builder. The cost is one full build — O(n + m) — which
    sounds heavy next to pointer-surgery dynamic adjacency, but the CSR

@@ -196,7 +196,6 @@ val iter_edges_uv : (int -> int -> unit) -> t -> unit
 val fold_edges_uv : ('a -> int -> int -> 'a) -> t -> 'a -> 'a
 
 val fold_vertices : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val iter_vertices : (int -> unit) -> t -> unit
 
 val induced_by_edges : t -> Edge.Set.t -> t
 (** [induced_by_edges g s] keeps the vertex set of [g] but only the

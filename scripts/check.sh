@@ -188,9 +188,9 @@ grep -q 'speedup' "$seqrep"
 # shard counts (seeds, broken certificates, dirty-ball sizes, spanner
 # sizes and validity all come from the same deterministic pipeline).
 dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
-  --rate 0.02 | sed -E 's/[0-9.]+ ?ms//g' > "$seqrep"
+  --rate 0.02 | sed -E 's/ *[0-9.]+ ?ms//g' > "$seqrep"
 dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
-  --rate 0.02 --par 2 | sed -E 's/[0-9.]+ ?ms//g' > "$parrep"
+  --rate 0.02 --par 2 | sed -E 's/ *[0-9.]+ ?ms//g' > "$parrep"
 diff "$seqrep" "$parrep"
 # Churn composes with the adversary: each repair tick runs under the
 # fault schedule, the adversary's coin stream joins the determinism
@@ -198,11 +198,11 @@ diff "$seqrep" "$parrep"
 # counts once wall-clock tokens are stripped.
 dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
   --rate 0.02 --schedule "$sched" --retry 3 \
-  | sed -E 's/[0-9.]+ ?ms//g' > "$seqrep"
+  | sed -E 's/ *[0-9.]+ ?ms//g' > "$seqrep"
 grep -q 'on every repair run' "$seqrep"
 dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
   --rate 0.02 --schedule "$sched" --retry 3 --par 2 \
-  | sed -E 's/[0-9.]+ ?ms//g' > "$parrep"
+  | sed -E 's/ *[0-9.]+ ?ms//g' > "$parrep"
 diff "$seqrep" "$parrep"
 
 # Profiler smoke: the profile subcommand must produce a per-phase

@@ -77,6 +77,50 @@ let prop_directed_always_valid =
       let r = C.Directed_two_spanner.run ~rng:(Rng.create (seed + 1)) dg in
       C.Spanner_check.is_directed_spanner dg r.spanner ~k:2)
 
+(* Golden outputs on instances that take the Section 4 loop through
+   more than one iteration (the E3 families all finish in one):
+   size, iterations, stars, candidacies and an MD5 of the sorted arcs,
+   all fixed by seed 31. *)
+let directed_golden =
+  [
+    ( "clique_ladder 120",
+      Generators.bidirect (Generators.clique_ladder (Rng.create 2) 120),
+      (954, 3, 19, 104),
+      "4e15fcd48ff8a434a1c42c8775ea3654" );
+    ( "caveman 8x10",
+      Generators.bidirect (Generators.caveman (Rng.create 1) 8 10 0.03),
+      (308, 2, 15, 62),
+      "ae9c5514a9476a947e8e3cc5542d5aa0" );
+    ( "oriented K30",
+      Generators.random_orientation (Rng.create 5) (Generators.complete 30),
+      (217, 1, 8, 30),
+      "d27028f1a9898bcb86ac9a28cc7cfd9b" );
+  ]
+
+let arcs_digest s =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun (u, v) -> Printf.sprintf "%d>%d" u v)
+             (Edge.Directed.Set.elements s))))
+
+let test_directed_golden () =
+  List.iter
+    (fun (name, dg, (size, iters, stars, cands), digest) ->
+      let r = C.Directed_two_spanner.run ~rng:(Rng.create 31) dg in
+      Alcotest.(check (list int))
+        (name ^ " size/iters/stars/cands")
+        [ size; iters; stars; cands ]
+        [
+          Edge.Directed.Set.cardinal r.spanner;
+          r.iterations;
+          r.stars_added;
+          r.candidate_count;
+        ];
+      Alcotest.(check string) (name ^ " arcs") digest (arcs_digest r.spanner))
+    directed_golden
+
 (* ------------------------------------------------------------------ *)
 (* Weighted *)
 
@@ -251,6 +295,7 @@ let () =
             test_directed_antiparallel_pair;
           Alcotest.test_case "ratio vs exact" `Quick
             test_directed_ratio_vs_exact;
+          Alcotest.test_case "golden" `Quick test_directed_golden;
           QCheck_alcotest.to_alcotest prop_directed_always_valid;
         ] );
       ( "weighted",
