@@ -19,60 +19,66 @@ let broadcast_nbrs out graph vertex payload =
 (* Shared shape: each vertex holds a value, rebroadcasts it whenever it
    improves, and is done while no improvement arrives. Messages carry
    values of the same type as the state. *)
-let improving ~initial ~announces_first ~improve ~measure ?model ?par ?frugal
-    graph =
+let improving_spec ~initial ~announces_first ~improve ~measure graph =
+  {
+    Engine.init =
+      (fun ~n:_ ~vertex ~neighbors ~out ->
+        let v = initial vertex in
+        if announces_first vertex then broadcast_arr out neighbors v;
+        { value = v });
+    step =
+      (fun ~round:_ ~vertex st inbox ~out ->
+        let improved = ref false in
+        Engine.inbox_iter
+          (fun ~src:_ msg ->
+            match improve st.value msg with
+            | Some better ->
+                st.value <- better;
+                improved := true
+            | None -> ())
+          inbox;
+        if !improved then begin
+          broadcast_nbrs out graph vertex st.value;
+          (st, `Continue)
+        end
+        else (st, `Done));
+    measure;
+  }
+
+let run_improving ?model ?par ?frugal graph spec =
   let model =
     match model with
     | Some m -> m
     | None -> Model.congest ~n:(max 2 (Grapho.Ugraph.n graph)) ()
   in
-  let spec =
-    {
-      Engine.init =
-        (fun ~n:_ ~vertex ~neighbors ~out ->
-          let v = initial vertex in
-          if announces_first vertex then broadcast_arr out neighbors v;
-          { value = v });
-      step =
-        (fun ~round:_ ~vertex st inbox ~out ->
-          let improved = ref false in
-          Engine.inbox_iter
-            (fun ~src:_ msg ->
-              match improve st.value msg with
-              | Some better ->
-                  st.value <- better;
-                  improved := true
-              | None -> ())
-            inbox;
-          if !improved then begin
-            broadcast_nbrs out graph vertex st.value;
-            (st, `Continue)
-          end
-          else (st, `Done));
-      measure;
-    }
-  in
   let states, metrics = Engine.run ?par ?frugal ~model ~graph spec in
   (Array.map (fun s -> s.value) states, metrics)
 
-let flood_min_id ?model ?par ?frugal graph =
-  let bits = Message.bits_for_id ~n:(max 2 (Grapho.Ugraph.n graph)) in
-  improving ?model ?par ?frugal graph
+let id_bits graph = Message.bits_for_id ~n:(max 2 (Grapho.Ugraph.n graph))
+
+let flood_min_id_spec graph =
+  let bits = id_bits graph in
+  improving_spec graph
     ~initial:(fun v -> v)
     ~announces_first:(fun _ -> true)
     ~improve:(fun current incoming ->
       if incoming < current then Some incoming else None)
     ~measure:(fun _ -> bits)
 
+let flood_min_id ?model ?par ?frugal graph =
+  run_improving ?model ?par ?frugal graph (flood_min_id_spec graph)
+
 let bfs_distances ?model ?par ?frugal ~root graph =
-  let bits = Message.bits_for_id ~n:(max 2 (Grapho.Ugraph.n graph)) in
-  improving ?model ?par ?frugal graph
-    ~initial:(fun v -> if v = root then 0 else max_int)
-    ~announces_first:(fun v -> v = root)
-    ~improve:(fun current incoming ->
-      if incoming < max_int && incoming + 1 < current then Some (incoming + 1)
-      else None)
-    ~measure:(fun _ -> bits)
+  let bits = id_bits graph in
+  run_improving ?model ?par ?frugal graph
+    (improving_spec graph
+       ~initial:(fun v -> if v = root then 0 else max_int)
+       ~announces_first:(fun v -> v = root)
+       ~improve:(fun current incoming ->
+         if incoming < max_int && incoming + 1 < current then
+           Some (incoming + 1)
+         else None)
+       ~measure:(fun _ -> bits))
 
 (* ------------------------------------------------------------------ *)
 (* Luby's MIS: phases of (Value, Joined, -). *)

@@ -16,6 +16,16 @@ val flood_min_id :
     whole-row rebroadcasts ride the collection-tree fast path; results
     and logical metrics are unchanged. *)
 
+type 'a state
+(** A vertex's current value in the improving-value floods. *)
+
+val flood_min_id_spec : Grapho.Ugraph.t -> (int state, int) Engine.spec
+(** The engine spec {!flood_min_id} runs: each vertex broadcasts its
+    id, then rebroadcasts its value whenever a smaller one arrives, and
+    is [`Done] while none does. Messages are [O(log n)]-bit ids. Exposed
+    so harnesses that run a spec themselves (the two-party cut meter)
+    meter exactly this flood. *)
+
 val bfs_distances :
   ?model:Model.t ->
   ?par:int ->

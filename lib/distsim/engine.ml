@@ -190,17 +190,17 @@ exception Congest_violation of { src : int; dst : int; bits : int }
 
 let now_ns = Clock.now_ns
 
-(* Message accounting shared by both schedulers, one message at a
-   time. [round] is the engine's current-round cell (0 during init),
-   read when stamping [Send] events. [take_round] snapshots and resets
-   the per-round deltas for a [Round_end] event; it is only called
-   when tracing, and the per-round counters are only maintained when
-   tracing, so the [Trace.null] path does exactly the work the
-   untraced engine did. GC pressure is metered from [Gc] counters on
-   the calling domain: run totals always (two float reads at the
-   boundaries), per-round deltas only when tracing. [profile], when
-   installed, sees every metered message's size; like the trace
-   emission this happens on the calling (merge) thread only. *)
+(* Message accounting, one message at a time. [round] is the engine's
+   current-round cell (0 during init), read when stamping [Send]
+   events. [take_round] snapshots and resets the per-round deltas for a
+   [Round_end] event; it is only called when tracing, and the per-round
+   counters are only maintained when tracing, so the [Trace.null] path
+   does exactly the work the untraced engine did. GC pressure is
+   metered from [Gc] counters on the calling domain: run totals always
+   (two float reads at the boundaries), per-round deltas only when
+   tracing. [profile], when installed, sees every metered message's
+   size; like the trace emission this happens on the calling (merge)
+   thread only. *)
 let make_accounting ?adversary ?profile ?frugal ~trace ~round ~strict
     ~graph ~measure () =
   let tracing = not (Trace.is_null trace) in
@@ -488,13 +488,13 @@ let filtered_neighbors ~graph ~pos v =
     graph v;
   arr
 
-(* Round 0 shared by both schedulers: initialize the [a] running
-   vertices in ascending id order, draining the shared outbox after
-   each init so delivery, metric and trace side effects happen in
-   exactly per-vertex ascending order. [vertex_of] maps a slot to its
-   vertex and [neighbors] is what each init is handed (filtered to the
-   active set on a sparse run). The first vertex's state seeds the
-   states array (no dummy ['state] exists). *)
+(* Round 0: initialize the [a] running vertices in ascending id order,
+   draining the shared outbox after each init so delivery, metric and
+   trace side effects happen in exactly per-vertex ascending order.
+   [vertex_of] maps a slot to its vertex and [neighbors] is what each
+   init is handed (filtered to the active set on a sparse run). The
+   first vertex's state seeds the states array (no dummy ['state]
+   exists). *)
 let init_states ~n ~a ~vertex_of ~neighbors ~(spec : _ spec) ~out ~drain =
   let init slot =
     let v = vertex_of slot in
@@ -518,288 +518,28 @@ let normalize_adversary = function
   | Some a when not (Adversary.has_faults a) -> None
   | a -> a
 
-(* What a scheduler contributes to the shared run skeleton ([run]):
-   its inbox store, its step order and its done tracking. Everything
-   else — round counting, tracing, profiling, fault activation,
-   accounting, termination bookkeeping — is written once in [run].
-   Engine arrays are slot-indexed ([slot] equals the vertex id on a
-   dense run). *)
-type ('state, 'msg) scheduler = {
-  push : src:int -> dst:int -> 'msg -> unit;
-      (* deliver one message into slot [dst]'s next-round inbox *)
-  next_round : unit -> unit;
-      (* last round's deliveries become this round's inboxes *)
-  crash : int -> unit;
-      (* crash-stop a slot: destroy its pending inbox, flag it done *)
-  step :
-    round:int -> 'state array -> out:'msg outbox -> drain:(int -> unit) ->
-    seg:(int -> int array -> 'msg array -> lo:int -> hi:int -> unit) ->
-    int;
-      (* step this round's vertices in ascending slot order, draining
-         their sends; returns how many were stepped *)
-  vertices_done : unit -> int;
-  quiescent : unit -> bool;
-      (* every running vertex is done and no message is in flight *)
-}
+(* The one round loop. Each round swaps two preallocated banks of
+   per-slot inbox buffers (this round's sends accumulate in the other
+   bank), activates the adversary's faults, then steps the slots the
+   scheduler wakes: under [`Active] those with pending messages or not
+   yet [`Done] (correct whenever the algorithm is quiescent when done),
+   under [`Naive] every uncrashed one. A vertex's own buffer is its
+   inbox view, and its sends land in a reused outbox drained —
+   validated, metered, traced, delivered — right after its step, so
+   steady-state rounds allocate nothing in the engine. Engine arrays
+   are slot-indexed ([slot] equals the vertex id on a dense run).
 
-(* The retained reference path: step every vertex every round, rebuild
-   and sort every inbox from a per-round list. Kept deliberately
-   list-based (modulo the mailbox calling convention) so the
-   equivalence suite can diff the zero-allocation active scheduler
-   against an independently-structured implementation. *)
-let naive ~a ~sparse ~act ~is_crashed ?profile (spec : _ spec) =
-  let done_flags = Array.make a false in
-  let inboxes = Array.make a [] in
-  let current = ref inboxes in
-  let in_flight = ref 0 in
-  let scratch = inbox_create () in
-  {
-    push =
-      (fun ~src ~dst payload ->
-        incr in_flight;
-        inboxes.(dst) <- (src, payload) :: inboxes.(dst));
-    next_round =
-      (fun () ->
-        (* Snapshot and clear inboxes so this round's sends arrive
-           next round. *)
-        current := Array.copy inboxes;
-        Array.fill inboxes 0 a [];
-        in_flight := 0);
-    crash =
-      (fun slot ->
-        !current.(slot) <- [];
-        done_flags.(slot) <- true);
-    step =
-      (fun ~round states ~out ~drain ~seg:_ ->
-        let stepped = ref 0 in
-        for slot = 0 to a - 1 do
-          let v = if sparse then act.(slot) else slot in
-          if not (is_crashed v) then begin
-            incr stepped;
-            (* Monomorphic sort key: sources are ints, so the
-               polymorphic [compare] the original loop used is pure
-               overhead here. *)
-            let sorted =
-              List.sort (fun (a, _) (b, _) -> Int.compare a b) !current.(slot)
-            in
-            inbox_clear scratch;
-            List.iter (fun (s, m) -> inbox_push scratch ~src:s m) sorted;
-            (match profile with
-            | Some p -> Profile.record_inbox p scratch.i_len
-            | None -> ());
-            let state, status =
-              spec.step ~round ~vertex:v states.(slot) scratch ~out
-            in
-            states.(slot) <- state;
-            done_flags.(slot) <- (status = `Done);
-            drain v
-          end
-        done;
-        !stepped);
-    vertices_done =
-      (fun () ->
-        Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 done_flags);
-    quiescent =
-      (fun () -> Array.for_all (fun f -> f) done_flags && !in_flight = 0);
-  }
-
-(* The event-driven path: a vertex is stepped only while it has
-   pending messages or has not signalled [`Done]. Correct whenever the
-   algorithm is *quiescent when done* — a vertex that returned [`Done]
-   and then steps on an empty inbox changes nothing and stays [`Done]
-   (every spec in this repository satisfies this; the equivalence
-   suite checks it on the protocols that matter).
-
-   Zero-allocation plumbing: two preallocated banks of per-vertex
-   inbox buffers are swapped each round (this round's sends accumulate
-   in the other bank), the vertex's own buffer is passed to [step]
-   directly as its inbox view, and sends land in a reused outbox that
-   is drained — validated, metered, traced, delivered — right after
-   the step returns. Steady-state rounds therefore allocate nothing in
-   the engine.
-
-   With [par > 1] the per-round stepping fans out over a persistent
-   domain pool: the vertex range is cut into contiguous shards, each
-   shard steps its vertices appending sends to a per-shard outbox and
-   a [(vertex, count)] segment index, and a serial merge then walks
-   the shards in order — i.e. in ascending vertex id — performing
-   every side effect the sequential loop would have performed, in the
-   same order: message delivery into the next bank (so inbox insertion
-   order is preserved), metric accumulation, congestion checks and
-   trace [Send] emission. The parallel phase writes only disjoint
-   per-vertex slots ([states], [done_flags], each vertex's own inbox
-   buffer) plus per-shard scratch, and the pool barrier publishes
-   those writes, so the result is bit-identical to the sequential loop
-   for any shard count (GC-pressure metrics excepted: each domain owns
-   its minor heap). The only observable difference is on error paths:
-   a strict [Congest_violation] or a non-neighbor [Invalid_argument]
-   is raised at merge time, after the whole round has been stepped,
-   rather than mid-round. *)
-let active ~a ~sparse ~act ~par ?profile ~graph (spec : _ spec) =
-  let par = max 1 (min par a) in
-  let pool = if par > 1 then Some (Pool.get par) else None in
-  (* Shard count actually used per round. *)
-  let k = match pool with None -> 1 | Some p -> min par (Pool.size p) in
-  (match (profile, pool) with
-  | Some p, Some _ -> Profile.ensure_shards p k
-  | _ -> ());
-  (* Per-shard scratch, allocated once and reused every round. *)
-  let shard_out = Array.init k (fun _ -> outbox_create ()) in
-  let shard_seg = Array.init k (fun _ -> seg_make ()) in
-  let shard_stepped = Array.make k 0 in
-  let shard_delta = Array.make k 0 in
-  let done_flags = Array.make a false in
-  (* Degree in the full graph is an upper bound on the induced degree,
-     so the hint stays valid on sparse runs. *)
-  let slot_hint s =
-    Grapho.Ugraph.degree graph (if sparse then act.(s) else s)
-  in
-  let bank_a = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
-  let bank_b = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
-  let cur = ref bank_a and next = ref bank_b in
-  let pending = ref 0 in (* messages sitting in [next] *)
-  let not_done = ref a in
-  (* Record a step's verdict; returns the change in the not-done
-     count. *)
-  let settle slot status =
-    match status with
-    | `Done ->
-        if done_flags.(slot) then 0
-        else begin
-          done_flags.(slot) <- true;
-          -1
-        end
-    | `Continue ->
-        if done_flags.(slot) then begin
-          done_flags.(slot) <- false;
-          1
-        end
-        else 0
-  in
-  let step_seq ~round states ~out ~drain =
-    let bank = !cur in
-    let stepped = ref 0 in
-    for slot = 0 to a - 1 do
-      let b = bank.(slot) in
-      if b.i_len > 0 || not done_flags.(slot) then begin
-        let v = if sparse then Array.unsafe_get act slot else slot in
-        incr stepped;
-        (match profile with
-        | Some p -> Profile.record_inbox p b.i_len
-        | None -> ());
-        let state, status = spec.step ~round ~vertex:v states.(slot) b ~out in
-        b.i_len <- 0;
-        states.(slot) <- state;
-        not_done := !not_done + settle slot status;
-        drain v
-      end
-    done;
-    !stepped
-  in
-  let step_par pool ~round states ~seg =
-    let bank = !cur in
-    (* Parallel phase: step shards concurrently; touch only disjoint
-       per-vertex slots and per-shard scratch. Shards cut the slot
-       range, which on a sparse run is the ascending active order, so
-       the serial merge below still replays side effects in ascending
-       vertex id. *)
-    Pool.run pool ~shards:k ~n:a (fun ~lo ~hi ~shard ->
-        (* Shards stamp their own clocks and record inbox sizes into
-           disjoint profile slots; the merge below flushes them on the
-           calling thread. *)
-        (match profile with
-        | Some p -> Profile.shard_begin p ~shard
-        | None -> ());
-        let sout = shard_out.(shard) in
-        sout.o_len <- 0;
-        let sg = shard_seg.(shard) in
-        sg.s_len <- 0;
-        let st = ref 0 in
-        let delta = ref 0 in
-        for slot = lo to hi - 1 do
-          let b = bank.(slot) in
-          if b.i_len > 0 || not done_flags.(slot) then begin
-            let v = if sparse then Array.unsafe_get act slot else slot in
-            incr st;
-            (match profile with
-            | Some p -> Profile.record_shard_inbox p ~shard b.i_len
-            | None -> ());
-            let before = sout.o_len in
-            let state, status =
-              spec.step ~round ~vertex:v states.(slot) b ~out:sout
-            in
-            b.i_len <- 0;
-            states.(slot) <- state;
-            delta := !delta + settle slot status;
-            (* Draining an empty outbox is a no-op, so vertices that
-               sent nothing can be skipped in the merge. The segment
-               records the global vertex id: the merge's accounting
-               validates sends against the full graph. *)
-            let cnt = sout.o_len - before in
-            if cnt > 0 then seg_push sg v cnt
-          end
-        done;
-        shard_stepped.(shard) <- !st;
-        shard_delta.(shard) <- !delta;
-        match profile with
-        | Some p -> Profile.shard_end p ~shard
-        | None -> ());
-    let merge_t0 = match profile with Some _ -> now_ns () | None -> 0 in
-    (* Serial merge, in ascending vertex id (shards are contiguous
-       ascending ranges and each shard outbox is the in-order
-       concatenation of its vertices' sends): exactly the side-effect
-       order of the sequential loop. *)
-    let stepped = ref 0 in
-    for s = 0 to k - 1 do
-      stepped := !stepped + shard_stepped.(s);
-      not_done := !not_done + shard_delta.(s);
-      let sout = shard_out.(s) in
-      let sg = shard_seg.(s) in
-      let off = ref 0 in
-      for i = 0 to sg.s_len - 1 do
-        let stop = !off + sg.s_cnt.(i) in
-        seg sg.s_v.(i) sout.o_dst sout.o_msg ~lo:!off ~hi:stop;
-        off := stop
-      done;
-      sout.o_len <- 0;
-      sg.s_len <- 0
-    done;
-    (match profile with
-    | Some p ->
-        Profile.merge_span p ~round ~shards:k ~t0:merge_t0 ~t1:(now_ns ())
-    | None -> ());
-    !stepped
-  in
-  {
-    push =
-      (fun ~src ~dst payload ->
-        incr pending;
-        inbox_push !next.(dst) ~src payload);
-    next_round =
-      (fun () ->
-        (* Swap banks: this round's sends accumulate in the other bank
-           and arrive next round. *)
-        let t = !cur in
-        cur := !next;
-        next := t;
-        pending := 0);
-    crash =
-      (fun slot ->
-        !cur.(slot).i_len <- 0;
-        if not done_flags.(slot) then begin
-          done_flags.(slot) <- true;
-          decr not_done
-        end);
-    step =
-      (match pool with
-      | None -> fun ~round states ~out ~drain ~seg:_ ->
-          step_seq ~round states ~out ~drain
-      | Some pool -> fun ~round states ~out:_ ~drain:_ ~seg ->
-          step_par pool ~round states ~seg);
-    vertices_done = (fun () -> a - !not_done);
-    quiescent = (fun () -> !not_done = 0 && !pending = 0);
-  }
-
+   With [par > 1] (and [`Active]) the slot range is cut into
+   contiguous shards stepped on a persistent domain pool with the same
+   per-vertex body; each shard appends its sends to a per-shard outbox
+   and a [(vertex, count)] segment index, and a serial merge replays
+   them in ascending vertex id — the sequential loop's side-effect
+   order. Shards write only disjoint per-slot state plus per-shard
+   scratch, and the pool barrier publishes those writes, so the result
+   is bit-identical to [par = 1] (GC-pressure metrics excepted). Only
+   error paths differ: a strict [Congest_violation] or a non-neighbor
+   [Invalid_argument] is raised at merge time, after the whole round
+   has been stepped. *)
 let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
     ?(par = 1) ?adversary ?profile ?frugal ?active:act_opt ~model ~graph spec =
   let n = Grapho.Ugraph.n graph in
@@ -822,24 +562,37 @@ let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
   let act = match act_opt with Some act -> act | None -> [||] in
   let a = if sparse then Array.length act else n in
   let pos = if sparse then slot_of_vertex ~n act else [||] in
+  let vertex_of slot = if sparse then Array.unsafe_get act slot else slot in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 50 * (a + 5)
   in
   let profiling = profile <> None in
   (match profile with Some p -> Profile.run_begin p | None -> ());
-  let sch =
-    match sched with
-    | `Naive ->
-        (* The reference path stays single-domain by design: it is the
-           thing the parallel path is diffed against. *)
-        let is_crashed =
-          match adversary with
-          | None -> fun _ -> false
-          | Some a -> fun v -> Adversary.is_crashed a v
-        in
-        naive ~a ~sparse ~act ~is_crashed ?profile spec
-    | `Active -> active ~a ~sparse ~act ~par ?profile ~graph spec
-  in
+  let naive = sched = `Naive in
+  (* The naive reference stays single-domain by design: it is the thing
+     the parallel path is diffed against. [par] is clamped to [a] before
+     the pool lookup, because [Pool.get] may hand back a larger cached
+     pool; [k] is the shard count actually used per round. *)
+  let par = if naive then 1 else max 1 (min par a) in
+  let pool = if par > 1 then Some (Pool.get par) else None in
+  let k = match pool with None -> 1 | Some p -> min par (Pool.size p) in
+  (match (profile, pool) with
+  | Some p, Some _ -> Profile.ensure_shards p k
+  | _ -> ());
+  (* Per-shard scratch, allocated once and reused every round. *)
+  let shard_out = Array.init k (fun _ -> outbox_create ()) in
+  let shard_seg = Array.init k (fun _ -> seg_make ()) in
+  let shard_stepped = Array.make k 0 in
+  let shard_delta = Array.make k 0 in
+  (* Degree in the full graph is an upper bound on the induced degree,
+     so the hint stays valid on sparse runs. *)
+  let slot_hint s = Grapho.Ugraph.degree graph (vertex_of s) in
+  let bank_a = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
+  let bank_b = Array.init a (fun s -> inbox_create ~hint:(slot_hint s) ()) in
+  let cur = ref bank_a and next = ref bank_b in
+  let pending = ref 0 in (* messages sitting in [next] *)
+  let done_flags = Array.make a false in
+  let not_done = ref a in
   let round = ref 0 in
   let tracing, account_seg, finish, take_round, flush_round =
     make_accounting ?adversary ?profile ?frugal ~trace ~round ~strict ~graph
@@ -848,16 +601,25 @@ let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
   let crashed_now () =
     match adversary with None -> 0 | Some a -> Adversary.crashed_count a
   in
+  let is_crashed =
+    match adversary with
+    | None -> fun _ -> false
+    | Some adv -> Adversary.is_crashed adv
+  in
   let bandwidth = Model.bandwidth model in
+  let push ~src ~dst payload =
+    incr pending;
+    inbox_push !next.(dst) ~src payload
+  in
   let deliver =
-    if not sparse then sch.push
+    if not sparse then push
     else fun ~src ~dst payload ->
       let slot = pos.(dst) in
       if slot < 0 then
         invalid_arg
           (Printf.sprintf "Engine: vertex %d sent to frozen vertex %d" src
              dst);
-      sch.push ~src ~dst:slot payload
+      push ~src ~dst:slot payload
   in
   let seg src dsts msgs ~lo ~hi =
     account_seg ~bandwidth ~deliver src dsts msgs ~lo ~hi
@@ -866,6 +628,23 @@ let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
   let drain src =
     seg src out.o_dst out.o_msg ~lo:0 ~hi:out.o_len;
     out.o_len <- 0
+  in
+  (* Record a step's verdict; returns the change in the not-done
+     count. *)
+  let settle slot status =
+    match status with
+    | `Done ->
+        if done_flags.(slot) then 0
+        else begin
+          done_flags.(slot) <- true;
+          -1
+        end
+    | `Continue ->
+        if done_flags.(slot) then begin
+          done_flags.(slot) <- false;
+          1
+        end
+        else 0
   in
   let round_begin () =
     if tracing then Trace.emit trace (Trace.Round_begin !round);
@@ -880,19 +659,93 @@ let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
     if tracing then
       Trace.emit trace
         (Trace.Round_end
-           (take_round ~stepped ~vdone:(sch.vertices_done ())
+           (take_round ~stepped ~vdone:(a - !not_done)
               ~crashed:(crashed_now ()) ~elapsed_ns:(t1 - t0) !round))
   in
   (* Round 0: init everyone (always sequential; active vertices only
      on a sparse run). *)
   let t0 = round_begin () in
-  let states =
-    if sparse then
-      init_states ~n ~a ~vertex_of:(Array.get act)
-        ~neighbors:(filtered_neighbors ~graph ~pos) ~spec ~out ~drain
-    else
-      init_states ~n ~a ~vertex_of:Fun.id
-        ~neighbors:(Grapho.Ugraph.neighbors graph) ~spec ~out ~drain
+  let neighbors =
+    if sparse then filtered_neighbors ~graph ~pos
+    else Grapho.Ugraph.neighbors graph
+  in
+  let states = init_states ~n ~a ~vertex_of ~neighbors ~spec ~out ~drain in
+  (* The per-vertex step body of both steppers: step the woken slots of
+     [lo, hi) with sends going to [out]. Sequentially each vertex's
+     sends are drained at once; in a shard they are indexed for the
+     merge (draining an empty outbox is a no-op, so a vertex that sent
+     nothing is not recorded; the segment keeps the global vertex id,
+     which the merge's accounting validates against the full graph).
+     Shards record inbox sizes into disjoint profile slots that the
+     merge flushes on the calling thread. *)
+  let sharded = pool <> None in
+  let step_slots ~round ~shard ~lo ~hi out =
+    let bank = !cur in
+    let sg = shard_seg.(shard) in
+    let stepped = ref 0 and delta = ref 0 in
+    for slot = lo to hi - 1 do
+      let b = bank.(slot) in
+      if
+        b.i_len > 0
+        || (not done_flags.(slot))
+        || (naive && not (is_crashed (vertex_of slot)))
+      then begin
+        let v = vertex_of slot in
+        incr stepped;
+        (match profile with
+        | Some p when sharded -> Profile.record_shard_inbox p ~shard b.i_len
+        | Some p -> Profile.record_inbox p b.i_len
+        | None -> ());
+        let before = out.o_len in
+        let state, status = spec.step ~round ~vertex:v states.(slot) b ~out in
+        b.i_len <- 0;
+        states.(slot) <- state;
+        delta := !delta + settle slot status;
+        if not sharded then drain v
+        else if out.o_len > before then seg_push sg v (out.o_len - before)
+      end
+    done;
+    shard_stepped.(shard) <- !stepped;
+    shard_delta.(shard) <- !delta
+  in
+  (* Step one round and merge the shards' sends (none sequentially) in
+     ascending vertex id; returns how many vertices were stepped. *)
+  let step_round round =
+    (match pool with
+    | None -> step_slots ~round ~shard:0 ~lo:0 ~hi:a out
+    | Some pool ->
+        Pool.run pool ~shards:k ~n:a (fun ~lo ~hi ~shard ->
+            (match profile with
+            | Some p -> Profile.shard_begin p ~shard
+            | None -> ());
+            let sout = shard_out.(shard) in
+            sout.o_len <- 0;
+            shard_seg.(shard).s_len <- 0;
+            step_slots ~round ~shard ~lo ~hi sout;
+            match profile with
+            | Some p -> Profile.shard_end p ~shard
+            | None -> ()));
+    let merge_t0 = if sharded && profiling then now_ns () else 0 in
+    let stepped = ref 0 in
+    for s = 0 to k - 1 do
+      stepped := !stepped + shard_stepped.(s);
+      not_done := !not_done + shard_delta.(s);
+      let sout = shard_out.(s) in
+      let sg = shard_seg.(s) in
+      let off = ref 0 in
+      for i = 0 to sg.s_len - 1 do
+        let stop = !off + sg.s_cnt.(i) in
+        seg sg.s_v.(i) sout.o_dst sout.o_msg ~lo:!off ~hi:stop;
+        off := stop
+      done;
+      sout.o_len <- 0;
+      sg.s_len <- 0
+    done;
+    (match profile with
+    | Some p when sharded ->
+        Profile.merge_span p ~round ~shards:k ~t0:merge_t0 ~t1:(now_ns ())
+    | _ -> ());
+    !stepped
   in
   let steps = ref a in
   round_end t0 ~stepped:a;
@@ -904,34 +757,42 @@ let run ?max_rounds ?(strict = false) ?(trace = Trace.null) ?(sched = `Active)
         (Printf.sprintf "Engine.run: no termination within %d rounds"
            max_rounds);
     let t0 = round_begin () in
-    sch.next_round ();
+    (* Swap banks: last round's sends become this round's inboxes. *)
+    let t = !cur in
+    cur := !next;
+    next := t;
+    pending := 0;
     (* Fault activation happens on the calling domain, before any
        stepping (sequential or parallel): a vertex crash-stopped at
        round [r] loses the messages that were about to arrive at [r],
        is flagged done and never steps again (deliveries to it are
-       dropped at [consult] time, so it stays quiet forever). The pool
-       barrier publishes these writes to the shards, and the order is
-       identical for any scheduler and shard count. *)
+       dropped at [consult] time). The pool barrier publishes these
+       writes to the shards. *)
     (match adversary with
     | None -> ()
     | Some adv ->
         Adversary.begin_round adv ~round:!round (fun kind ->
             (match kind with
             | Trace.Crash v ->
-                (* On a sparse run the engine arrays are slot-indexed;
-                   a crash scheduled at a frozen vertex touches no
-                   engine state (the vertex was never running — the
-                   adversary still drops traffic addressed to it, of
-                   which there is none). *)
+                (* On a sparse run a crash scheduled at a frozen vertex
+                   touches no engine state (the vertex was never
+                   running — the adversary still drops traffic
+                   addressed to it, of which there is none). *)
                 let slot = if sparse then pos.(v) else v in
-                if slot >= 0 then sch.crash slot
+                if slot >= 0 then begin
+                  !cur.(slot).i_len <- 0;
+                  if not done_flags.(slot) then begin
+                    done_flags.(slot) <- true;
+                    decr not_done
+                  end
+                end
             | Trace.Cut _ | Trace.Restore _ -> ());
             if tracing then
               Trace.emit trace (Trace.Fault_injected { round = !round; kind })));
-    let stepped = sch.step ~round:!round states ~out ~drain ~seg in
+    let stepped = step_round !round in
     steps := !steps + stepped;
     round_end t0 ~stepped;
-    if sch.quiescent () then finished := true
+    if !not_done = 0 && !pending = 0 then finished := true
   done;
   (match profile with Some p -> Profile.run_end p | None -> ());
   (states, finish !round ~steps:!steps ~crashed:(crashed_now ()))

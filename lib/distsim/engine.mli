@@ -146,25 +146,19 @@ val metrics_logical_eq : metrics -> metrics -> bool
     A/B gates are stated in this equality. *)
 
 type sched = [ `Active | `Naive ]
-(** Scheduling strategy. [`Active] (the default) is event-driven: a
-    vertex is stepped in a round only if it has pending inbox messages
-    or has not signalled [`Done]; inboxes are insertion-ordered
-    reusable buffers exposed directly as the {!type:inbox} view, so the
-    steady state neither sorts, copies nor allocates. It is
+(** Which vertices a round steps. Both run on the one round loop —
+    same inbox banks, delivery, accounting, tracing, profiling and
+    fault handling — and differ only in this wake rule. [`Active] (the
+    default) is event-driven: a vertex is stepped only if it has
+    pending inbox messages or has not signalled [`Done]. It is
     observationally identical to [`Naive] for algorithms that are
     {e quiescent when done}: once a vertex returns [`Done], stepping
     it on an empty inbox must leave its state unchanged, emit nothing
     and return [`Done] again (a woken vertex may of course resume with
-    [`Continue]). [`Naive] retains the original step-everyone loop
-    with per-round rebuilt-and-sorted list inboxes as an independently
-    structured reference for differential testing
-    ([test/test_engine_sched.ml]).
-
-    Both schedulers run inside one shared skeleton: round counting and
-    the [max_rounds] check, tracing, profiling, fault activation and
-    the per-message accounting are the same code. They differ only in
-    how inboxes are stored, which vertices a round steps, and how done
-    flags are tracked. *)
+    [`Continue]). [`Naive] steps every running, non-crashed vertex
+    every round on a single domain: the step-everyone reference that
+    differential testing ([test/test_engine_sched.ml]) diffs [`Active]
+    and [par > 1] against. *)
 
 type ('state, 'msg) spec = {
   init :
@@ -206,10 +200,10 @@ val run :
     stream: [Round_begin]/[Round_end] around every round (round 0 is
     initialization) with per-round message counts, bit volumes,
     stepped-vertex counts, wall-clock time and minor-words allocated,
-    plus one [Send] per wire message when the sink wants them. A
-    per-message callback is a [Send]-only sink ({!Trace.of_observer});
-    the two-party simulation harness meters the bits crossing the
-    Alice/Bob cut that way. [strict] (default [false]) raises {!Congest_violation} on the
+    plus one [Send] per wire message when the sink wants them (the
+    two-party simulation harness meters the bits crossing the
+    Alice/Bob cut with a {!Trace.custom} sink that acts on [Send]
+    events). [strict] (default [false]) raises {!Congest_violation} on the
     first oversized message instead of merely counting it. [sched]
     picks the scheduling strategy (default [`Active]). Sending to a
     non-neighbor raises [Invalid_argument]. [max_rounds] defaults to

@@ -22,8 +22,8 @@
     {!null} is free (the engine detects it and skips all event
     construction), {!stats} accumulates an in-memory per-round
     {!series}, {!jsonl} streams JSON Lines to a channel, {!tee}
-    duplicates, and {!of_observer} adapts a per-message callback as a
-    [Send]-only sink. *)
+    duplicates, and {!custom} wraps any callback (a per-message meter
+    is a [custom] sink that acts on {!constructor:Send} events). *)
 
 type round_stat = {
   round : int;
@@ -31,8 +31,9 @@ type round_stat = {
   bits : int;  (** their total wire size *)
   max_bits : int;  (** largest single message this round (0 if none) *)
   vertices_stepped : int;
-      (** vertices activated this round — [n] every round under the
-          naive scheduler; only the awake set under the active one *)
+      (** vertices activated this round: under the naive scheduler
+          every running, uncrashed vertex; under the active one only
+          the awake set *)
   vertices_done : int;  (** vertices flagged [`Done] after the round *)
   congest_violations : int;  (** oversized messages this round *)
   dropped : int;
@@ -60,7 +61,8 @@ type round_stat = {
           column. Deterministic, like [messages]. *)
 }
 (** One row of the per-round series. Round 0 is initialization: every
-    vertex runs [init], so [vertices_stepped = n] there. Summing
+    running vertex runs [init], so [vertices_stepped = n] there
+    ([|active|] on a sparse run). Summing
     [messages] (resp. [bits]) over a run's [Round_end] events
     reconciles exactly with [Engine.metrics.messages] (resp.
     [total_bits]); summing [vertices_stepped] gives
@@ -119,13 +121,6 @@ val emit : sink -> event -> unit
 val custom : ?sends:bool -> (event -> unit) -> sink
 (** An arbitrary callback sink. [sends] (default [true]) declares
     whether it wants {!constructor:Send} events. *)
-
-val of_observer : (src:int -> dst:int -> bits:int -> unit) -> sink
-(** Adapts a per-message callback as a sink that acts only on
-    {!constructor:Send} events: [f ~src ~dst ~bits] runs once per wire
-    message, in delivery order. This is how the two-party harness
-    ([Lowerbound.Two_party.meter]) meters the bits crossing its
-    cut. *)
 
 val tee : sink -> sink -> sink
 (** Duplicates every event into both sinks. [tee null s == s]. *)

@@ -20,14 +20,15 @@ let meter ?max_rounds ~model ~graph ~bob spec =
       graph 0
   in
   let bits_across_cut = ref 0 in
-  let observer ~src ~dst ~bits =
-    if is_bob.(src) <> is_bob.(dst) then
-      bits_across_cut := !bits_across_cut + bits
+  let cut_meter =
+    Distsim.Trace.custom (function
+      | Distsim.Trace.Send { src; dst; bits; _ }
+        when is_bob.(src) <> is_bob.(dst) ->
+          bits_across_cut := !bits_across_cut + bits
+      | _ -> ())
   in
   let states, metrics =
-    Distsim.Engine.run ?max_rounds
-      ~trace:(Distsim.Trace.of_observer observer)
-      ~model ~graph spec
+    Distsim.Engine.run ?max_rounds ~trace:cut_meter ~model ~graph spec
   in
   let bandwidth =
     match Distsim.Model.bandwidth model with
@@ -43,42 +44,10 @@ let meter ?max_rounds ~model ~graph ~bob spec =
     },
     states )
 
-(* Min-id flooding, inlined so that the meter sees its messages. *)
-type flood_state = { mutable best : int }
-
 let meter_flood ?model ~graph ~bob () =
-  let n = max 2 (Ugraph.n graph) in
   let model =
-    match model with Some m -> m | None -> Distsim.Model.congest ~n ()
+    match model with
+    | Some m -> m
+    | None -> Distsim.Model.congest ~n:(max 2 (Ugraph.n graph)) ()
   in
-  let bits = Distsim.Message.bits_for_id ~n in
-  let broadcast out neighbors payload =
-    Array.iter (fun u -> Distsim.Engine.emit out ~dst:u payload) neighbors
-  in
-  let spec =
-    {
-      Distsim.Engine.init =
-        (fun ~n:_ ~vertex ~neighbors ~out ->
-          broadcast out neighbors vertex;
-          { best = vertex });
-      step =
-        (fun ~round:_ ~vertex st inbox ~out ->
-          let improved = ref false in
-          Distsim.Engine.inbox_iter
-            (fun ~src:_ v ->
-              if v < st.best then begin
-                st.best <- v;
-                improved := true
-              end)
-            inbox;
-          if !improved then begin
-            Ugraph.iter_neighbors
-              (fun u -> Distsim.Engine.emit out ~dst:u st.best)
-              graph vertex;
-            (st, `Continue)
-          end
-          else (st, `Done));
-      measure = (fun _ -> bits);
-    }
-  in
-  fst (meter ~model ~graph ~bob spec)
+  fst (meter ~model ~graph ~bob (Distsim.Algorithms.flood_min_id_spec graph))

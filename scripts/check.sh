@@ -34,10 +34,12 @@
 #     here the file must exist, be an array, and be non-trivial), and
 #     bench_diff must (a) pass the two checked-in trajectories
 #     (BENCH_PR5.json vs BENCH_PR6.json) under default tolerances and
-#     (b) gate a fresh e13 run against BENCH_PR7.json in --strict
+#     (b) gate a fresh e13 run against BENCH_PR9.json in --strict
 #     mode: deterministic fields must match exactly, timing may drift
-#     up to 3x (the new "frugal" section shows up as a named
-#     "section added" — informational, not a failure)
+#     up to 3x (the retired "seq_vs_par", "alloc" and "churn" sections,
+#     and the "micro_ns_per_run", "faults" and "csr" sections an
+#     e13-only run does not emit, show up as named "section removed"
+#     lines — informational, not a failure)
 #   - the serving subsystem: a spannerd on an ephemeral port must
 #     answer a spanner_cli session script (including a malformed line
 #     the connection survives) with a reply transcript that is

@@ -48,14 +48,22 @@ let test_delivery_next_round () =
     states;
   check_int "messages" 10 metrics.messages
 
+(* Inboxes are insertion-ordered buffers: senders step (and the
+   parallel merge replays them) in ascending id, so entries arrive
+   sorted by source under both wake rules and any shard count. *)
 let test_inbox_sorted_by_source () =
   let g = Generators.star 6 in
-  let states, _ =
-    Distsim.Engine.run ~model:Distsim.Model.local ~graph:g (echo_spec g)
-  in
-  let center = states.(0) in
-  let sources = List.map fst center.seen in
-  check "sorted" true (List.sort compare sources = sources)
+  List.iter
+    (fun (sched, par) ->
+      let states, _ =
+        Distsim.Engine.run ~sched ~par ~model:Distsim.Model.local ~graph:g
+          (echo_spec g)
+      in
+      let sources = List.map fst states.(0).seen in
+      check_int "center hears every leaf" (Ugraph.degree g 0)
+        (List.length sources);
+      check "sorted" true (List.sort compare sources = sources))
+    [ (`Active, 1); (`Active, 2); (`Naive, 1) ]
 
 let test_send_to_non_neighbor_rejected () =
   let g = Generators.path 3 in

@@ -1,8 +1,11 @@
-(* The active-set scheduler must be observationally identical to the
-   naive step-everyone reference path that [Distsim.Engine] retains:
-   same states, same spanners, same metrics, bit for bit. The protocol
-   specs are quiescent when done (the contract [Engine.sched]
-   documents), so this is an equality, not an approximation. *)
+(* The engine's round loop has two wake rules: [`Active] steps only
+   vertices with mail or not yet done, [`Naive] steps every running,
+   uncrashed vertex every round on one domain. The active rule (and
+   parallel stepping) must be observationally identical to the naive
+   reference: same states, same spanners, same metrics, bit for bit,
+   [steps] aside. The protocol specs are quiescent when done (the
+   contract [Engine.sched] documents), so this is an equality, not an
+   approximation. *)
 
 open Grapho
 module C = Spanner_core
@@ -20,9 +23,9 @@ let check_metrics name (a : Distsim.Engine.metrics)
   check_int (name ^ " congest_violations") a.congest_violations
     b.congest_violations
 
-(* [steps] is the one metric the schedulers legitimately disagree on:
-   the naive path activates everyone every round (n inits + n per
-   round, minus crash-stopped vertices), the active path only the
+(* [steps] is the one metric the wake rules legitimately disagree on:
+   the naive rule activates everyone every round (n inits + n per
+   round, minus crash-stopped vertices), the active rule only the
    awake set — never more. *)
 let check_steps name ~n (active : Distsim.Engine.metrics)
     (naive : Distsim.Engine.metrics) =
@@ -164,10 +167,10 @@ let test_flood_min_both_scheds () =
     ]
 
 (* The per-edge traffic profile — the quantity the two-party
-   cut-metering arguments depend on — must be (1) identical under both
-   schedulers and (2) identical whether collected through a per-message
-   callback adapted by [Trace.of_observer] (how [Two_party.meter]
-   collects it) or through a hand-written Send-only trace sink. *)
+   cut-metering arguments depend on — must be identical under both
+   wake rules and at [par = 2], collected the way [Two_party.meter]
+   collects its cut: a [Trace.custom] sink that acts on [Send]
+   events. *)
 let test_observer_vs_send_sink () =
   let collect run =
     let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -191,26 +194,18 @@ let test_observer_vs_send_sink () =
   in
   List.iter
     (fun (name, g) ->
-      (* Plain engine spec: observer vs sink, Active vs Naive. *)
-      let via_observer sched =
+      (* Plain engine spec: Active vs Naive vs par 2. *)
+      let via_sink ?par sched =
         collect (fun record ->
             ignore
-              (Distsim.Engine.run ~sched
-                 ~trace:(Distsim.Trace.of_observer record)
+              (Distsim.Engine.run ~sched ?par ~trace:(send_sink record)
                  ~model:Distsim.Model.local ~graph:g (flood_spec g)))
       in
-      let via_sink sched =
-        collect (fun record ->
-            ignore
-              (Distsim.Engine.run ~sched ~trace:(send_sink record)
-                 ~model:Distsim.Model.local ~graph:g (flood_spec g)))
-      in
-      let oa = via_observer `Active and on = via_observer `Naive in
       let sa = via_sink `Active and sn = via_sink `Naive in
-      check (name ^ " observer: active = naive") true (equal_tbl oa on);
-      check (name ^ " sink = observer (active)") true (equal_tbl oa sa);
-      check (name ^ " sink = observer (naive)") true (equal_tbl on sn);
-      check (name ^ " some traffic recorded") true (Hashtbl.length oa > 0);
+      let sp = via_sink ~par:2 `Active in
+      check (name ^ " sink: active = naive") true (equal_tbl sa sn);
+      check (name ^ " sink: active = par 2") true (equal_tbl sa sp);
+      check (name ^ " some traffic recorded") true (Hashtbl.length sa > 0);
       (* The full protocol via its ?trace parameter. *)
       let protocol sched =
         collect (fun record ->
@@ -384,8 +379,8 @@ let test_par_mds () =
               check_steps_eq label b.metrics r.metrics;
               check_series label bs s)
             pars;
-          (* The retained naive list path must agree with the mailbox
-             scheduler on everything but [steps]. *)
+          (* The naive step-everyone rule must agree with the active
+             one on everything but [steps]. *)
           let nv = C.Mds.run ~rng:(rng seed) ~sched:`Naive g in
           let b : C.Mds.result = base in
           let label = Printf.sprintf "naive:mds:%s/seed=%d" name seed in
@@ -439,7 +434,9 @@ let test_par_flood () =
    a round-2 crash with retransmission} x {dense, random ascending
    ?active subset}. [`Active] must equal [`Active ~par:2] on
    everything deterministic, round series included, and [`Naive] on
-   states and every metric but [steps]. *)
+   states and every metric but [steps]. [`Naive ~par:2] must equal
+   [`Naive] on states and every deterministic metric, [steps]
+   included: the naive rule ignores [par]. *)
 
 let round_eq (a : Distsim.Trace.round_stat) (b : Distsim.Trace.round_stat) =
   { a with elapsed_ns = 0; minor_words = 0 }
@@ -487,6 +484,7 @@ let prop_skeleton =
       let (sa, ma), series_a = run () in
       let (sp, mp), series_p = run ~par:2 () in
       let (sn, mn), _ = run ~sched:`Naive () in
+      let (snp, mnp), _ = run ~sched:`Naive ~par:2 () in
       let bests s = Array.map (fun st -> st.best) s in
       let a = Array.length sa in
       check_steps "naive vs active" ~n:a ma mn;
@@ -494,7 +492,9 @@ let prop_skeleton =
       && Distsim.Engine.metrics_deterministic_eq ma mp
       && series_eq series_a series_p
       && bests sa = bests sn
-      && Distsim.Engine.metrics_deterministic_eq ma { mn with steps = ma.steps })
+      && Distsim.Engine.metrics_deterministic_eq ma { mn with steps = ma.steps }
+      && bests sn = bests snp
+      && Distsim.Engine.metrics_deterministic_eq mn mnp)
 
 (* Degenerate graphs: the engine must terminate immediately with no
    traffic under both schedulers. *)
