@@ -571,9 +571,9 @@ let frugal_flood_rows ~selected =
 let perf_json ~json_path ~trace_path ~selected ~micro_rows ~par =
   let sel id = selected = [] || List.mem id selected in
   let with_densest_count f =
-    let c0 = !Netflow.Densest.solver_calls in
+    let c0 = Atomic.get Netflow.Densest.solver_calls in
     let r = f () in
-    (r, !Netflow.Densest.solver_calls - c0)
+    (r, Atomic.get Netflow.Densest.solver_calls - c0)
   in
   let trace_oc = Option.map open_out trace_path in
   (* Every metric-row run executes under a Stats sink (and, when

@@ -840,7 +840,7 @@ let micro () =
         if Rng.float prob_rng 1.0 < 0.4 then edges := (u, v) :: !edges
       done
     done;
-    !edges
+    Array.of_list !edges
   in
   let tests =
     Test.make_grouped ~name:"spanner"

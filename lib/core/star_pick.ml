@@ -5,10 +5,12 @@ type t = {
   nodes : int array;
   pos : (int, int) Hashtbl.t;  (* paying neighbor -> position *)
   weight : float array;
-  edges : (int * int) list;  (* hv edges between paying neighbors, by position *)
+  edges : (int * int) array;  (* hv edges between paying neighbors, by position *)
   adj : int list array;  (* same, as adjacency *)
   free_edges : Edge.t list array;  (* hv edges from paying position to a free neighbor *)
   bonus : float array;  (* |free_edges| per position *)
+  unit_weight : bool;  (* every weight is 1 *)
+  zero_bonus : bool;  (* every bonus is 0 *)
   mutable densest_memo : (int list * float) option option;
       (* cached [densest] answer; the problem is immutable after
          [make], so one flow solve serves every later query *)
@@ -57,10 +59,12 @@ let make ~center ~nodes ?(free = [||]) ?(weight = fun _ -> 1.0) ~hv_edges () =
     nodes;
     pos;
     weight = weight_arr;
-    edges;
+    edges = Array.of_list edges;
     adj;
     free_edges;
     bonus;
+    unit_weight = Array.for_all (fun w -> w = 1.0) weight_arr;
+    zero_bonus = Array.for_all (fun b -> b = 0.0) bonus;
     densest_memo = None;
   }
 
@@ -80,7 +84,7 @@ let selection_stats t selection =
   let inside = Array.make (Array.length t.nodes) false in
   List.iter (fun i -> inside.(i) <- true) ps;
   let spanned =
-    List.fold_left
+    Array.fold_left
       (fun acc (i, j) -> if inside.(i) && inside.(j) then acc + 1 else acc)
       0 t.edges
   in
@@ -102,7 +106,7 @@ let spanned t selection =
   let ps = positions t selection in
   List.iter (fun i -> inside.(i) <- true) ps;
   let base =
-    List.fold_left
+    Array.fold_left
       (fun acc (i, j) ->
         if inside.(i) && inside.(j) then
           Edge.Set.add (Edge.make t.nodes.(i) t.nodes.(j)) acc
@@ -114,32 +118,29 @@ let spanned t selection =
       List.fold_left (fun acc e -> Edge.Set.add e acc) acc t.free_edges.(i))
     base ps
 
-let is_unit_weight t = Array.for_all (fun w -> w = 1.0) t.weight
-
 let densest_on t ~allowed_positions =
   (* Remap the restricted subproblem to a dense index space for the
-     flow solver. *)
-  let k = List.length allowed_positions in
+     flow solver, keeping the edges in their order. *)
+  let arr = Array.of_list allowed_positions in
+  let k = Array.length arr in
   if k = 0 then None
   else begin
-    let arr = Array.of_list allowed_positions in
-    let back = Hashtbl.create (2 * k) in
-    Array.iteri (fun small orig -> Hashtbl.replace back orig small) arr;
+    let back = Array.make (Array.length t.nodes) (-1) in
+    Array.iteri (fun small orig -> back.(orig) <- small) arr;
     let edges =
-      List.filter_map
-        (fun (i, j) ->
-          match (Hashtbl.find_opt back i, Hashtbl.find_opt back j) with
-          | Some a, Some b -> Some (a, b)
-          | _ -> None)
-        t.edges
+      Array.of_list
+        (Array.fold_right
+           (fun (i, j) acc ->
+             if back.(i) >= 0 && back.(j) >= 0 then (back.(i), back.(j)) :: acc
+             else acc)
+           t.edges [])
     in
     let weights =
-      if is_unit_weight t then None
+      if t.unit_weight then None
       else Some (Array.map (fun orig -> t.weight.(orig)) arr)
     in
-    let all_zero_bonus = Array.for_all (fun b -> b = 0.0) t.bonus in
     let bonuses =
-      if all_zero_bonus then None
+      if t.zero_bonus then None
       else Some (Array.map (fun orig -> t.bonus.(orig)) arr)
     in
     match Netflow.Densest.densest_subset ?weights ?bonuses ~n:k ~edges () with
@@ -180,7 +181,7 @@ let extend t ~start ~allowed ~threshold =
       weight := !weight +. t.weight.(i);
       gain := !gain +. t.bonus.(i))
     !selection;
-  List.iter
+  Array.iter
     (fun (i, j) -> if inside.(i) && inside.(j) then gain := !gain +. 1.0)
     t.edges;
   let add_position i =

@@ -52,8 +52,10 @@ val spanned : t -> int list -> Edge.Set.t
     selected and one free. *)
 
 val densest : t -> (int list * float) option
-(** Maximum-density star over all paying neighbors, via parametric
-    flow ({!Netflow.Densest}); [None] when every star has density 0. *)
+(** Maximum-density star over all paying neighbors, from
+    {!Netflow.Densest.densest_subset} (subset enumeration for at most
+    12 paying neighbors, otherwise Goldberg's min-cut network under
+    Dinkelbach's search); [None] when every star has density 0. *)
 
 val densest_within : t -> allowed:int list -> (int list * float) option
 (** Same, restricted to a subset of the paying neighbors. *)

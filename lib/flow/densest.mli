@@ -1,4 +1,5 @@
-(** Maximum-density subgraph (Goldberg 1984), via parametric max-flow.
+(** Maximum-density subgraph (Goldberg 1984), via min cuts in
+    Goldberg's network driven by Dinkelbach's search.
 
     Given a graph on nodes [0..n-1] with edge multiset [E], positive
     node weights [w] and non-negative node bonuses [b], find a
@@ -16,40 +17,53 @@
     edges of [H] joining two neighbors (each chosen neighbor
     contributes its star edge, each induced [H]-edge is 2-spanned). *)
 
-val solver_calls : int ref
-(** Cumulative count of {!densest_subset} invocations in this process.
-    Cheap instrumentation for the bench harness ([bench/main.exe
-    --json] reports it per workload); not meaningful across threads. *)
+val solver_calls : int Atomic.t
+(** Cumulative count of {!densest_subset} invocations in this process,
+    from every domain. Cheap instrumentation for the bench harness
+    ([bench/main.exe --json] reports it per workload). *)
 
 val densest_subset :
   ?weights:float array ->
   ?bonuses:float array ->
   n:int ->
-  edges:(int * int) list ->
+  edges:(int * int) array ->
   unit ->
   (int list * float) option
 (** [densest_subset ~n ~edges ()] returns a maximizing subset (sorted)
     and its density, or [None] when the instance has no positive-
-    density subset ([edges] empty and all bonuses zero). With unit
-    weights the result is exactly optimal; with arbitrary float
-    weights it is optimal up to a relative parametric-search tolerance
-    of 1e-9, and the returned density is recomputed exactly from the
-    returned subset. Node weights must be positive, bonuses
-    non-negative. *)
+    density subset ([edges] empty and all bonuses zero). Node weights
+    must be positive, bonuses non-negative; the returned density is
+    computed exactly from the returned subset (as {!density_of} does).
+
+    Instances with [n <= 12] and no duplicate edge are solved by
+    enumerating all subsets, returning the first maximizer in subset-
+    bitmask order. Larger ones run Dinkelbach's search on Goldberg's
+    min-cut network: starting from a seed (the first edge's endpoints,
+    or the best single bonus node), it probes at the incumbent's exact
+    density and adopts the min-cut source side while that is strictly
+    denser. Each witness is the minimal maximizer of
+    [|E(S)| + b(S) - g w(S)], so the answer is canonical: the union of
+    all maximum-density subsets (the inclusion-maximal one), or the
+    seed when the seed is already of maximum density. This is exact up
+    to the float arithmetic of the flow network: a subset denser than
+    the incumbent by less than about [1e-6 / w(S)] is not seen. *)
 
 val density_of :
   ?weights:float array ->
   ?bonuses:float array ->
-  edges:(int * int) list ->
+  edges:(int * int) array ->
   int list ->
   float
-(** Exact density of a given subset. *)
+(** Exact density of a given subset (a set of vertices: duplicates
+    count once). Weights and bonuses are summed in ascending vertex
+    order. *)
 
 val brute_force :
   ?weights:float array ->
   ?bonuses:float array ->
   n:int ->
-  edges:(int * int) list ->
+  edges:(int * int) array ->
   unit ->
   (int list * float) option
-(** Exponential reference implementation for tests; [n <= 20]. *)
+(** Exponential reference implementation for tests; [n <= 20]. Returns
+    the first maximizer in subset-bitmask order. *)

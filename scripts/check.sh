@@ -34,11 +34,11 @@
 #     here the file must exist, be an array, and be non-trivial), and
 #     bench_diff must (a) pass the two checked-in trajectories
 #     (BENCH_PR5.json vs BENCH_PR6.json) under default tolerances and
-#     (b) gate a fresh e13 run against BENCH_PR9.json in --strict
+#     (b) gate a fresh e1 e13 run against BENCH_PR9.json in --strict
 #     mode: deterministic fields must match exactly, timing may drift
 #     up to 3x (the retired "seq_vs_par", "alloc" and "churn" sections,
 #     and the "micro_ns_per_run", "faults" and "csr" sections an
-#     e13-only run does not emit, show up as named "section removed"
+#     e1 e13 run does not emit, show up as named "section removed"
 #     lines — informational, not a failure)
 #   - the serving subsystem: a spannerd on an ephemeral port must
 #     answer a spanner_cli session script (including a malformed line
@@ -66,9 +66,10 @@ dune exec test/test_engine_sched.exe -- test allocation > /dev/null
 # ceiling), explicitly.
 dune exec test/test_csr.exe -- test gc > /dev/null
 
-dune exec bench/main.exe -- e1 --json /dev/null --trace /dev/null
+# e1's anchors make thousands of flow-path densest-star calls, so
+# gating their engine metrics pins that oracle's answers.
 benchjson=$(mktemp)
-dune exec bench/main.exe -- e13 --json "$benchjson" --trace /dev/null
+dune exec bench/main.exe -- e1 e13 --json "$benchjson" --trace /dev/null
 # The perf trajectory must be schema 10 and expose the profile
 # section's histogram percentiles and per-phase rows.
 grep -q '"schema": "spanner-bench/10"' "$benchjson"
@@ -93,7 +94,7 @@ grep -q '"auto_message_reduction"' "$benchjson"
 grep -q '"auto_identical": 1' "$benchjson"
 # The bench-trajectory regression gate, both ways it is used:
 # checked-in PR5 vs PR6 must pass the calibrated defaults, and the
-# fresh e13 run just emitted must match BENCH_PR9.json exactly on
+# fresh e1 e13 run just emitted must match BENCH_PR9.json exactly on
 # every deterministic field (--strict) with a wide allowance on this
 # machine's wall clock.
 dune exec bench/diff.exe -- BENCH_PR5.json BENCH_PR6.json > /dev/null

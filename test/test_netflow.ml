@@ -60,13 +60,41 @@ let test_negative_capacity_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* One network reset and refilled across growing and shrinking sizes
+   must behave exactly like a fresh one: same flow value, bit for bit,
+   and the same minimum-cut side. *)
+let test_reset_reuse () =
+  let rng = Grapho.Rng.create 5 in
+  let net = Netflow.Maxflow.create 0 in
+  List.iter
+    (fun n ->
+      let fresh = Netflow.Maxflow.create n in
+      Netflow.Maxflow.reset net n;
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if u <> v && Grapho.Rng.float rng 1.0 < 0.3 then begin
+            let cap = Grapho.Rng.float rng 10.0 in
+            Netflow.Maxflow.add_edge fresh ~src:u ~dst:v ~cap;
+            Netflow.Maxflow.add_edge net ~src:u ~dst:v ~cap
+          end
+        done
+      done;
+      let t = n - 1 in
+      let expected = Netflow.Maxflow.max_flow fresh ~s:0 ~t in
+      let got = Netflow.Maxflow.max_flow net ~s:0 ~t in
+      check (Printf.sprintf "flow n=%d" n) true (Float.equal expected got);
+      check (Printf.sprintf "cut n=%d" n) true
+        (Netflow.Maxflow.min_cut_side fresh ~s:0
+        = Netflow.Maxflow.min_cut_side net ~s:0))
+    [ 6; 20; 3; 40; 40; 10; 2; 25 ]
+
 (* ------------------------------------------------------------------ *)
 (* Densest subgraph *)
 
 let test_densest_triangle_plus_pendant () =
   (* Triangle 0-1-2 with pendant 3: both the triangle and the whole
      graph achieve the maximum density 1. *)
-  let edges = [ (0, 1); (1, 2); (0, 2); (2, 3) ] in
+  let edges = [| (0, 1); (1, 2); (0, 2); (2, 3) |] in
   match Netflow.Densest.densest_subset ~n:4 ~edges () with
   | Some (subset, d) ->
       check "contains triangle" true
@@ -76,12 +104,12 @@ let test_densest_triangle_plus_pendant () =
 
 let test_densest_empty () =
   check "no edges -> none" true
-    (Netflow.Densest.densest_subset ~n:5 ~edges:[] () = None)
+    (Netflow.Densest.densest_subset ~n:5 ~edges:[||] () = None)
 
 let test_densest_clique_inside_sparse () =
   (* K4 on 0..3 (density 1.5) dangling path 4-5-6. *)
   let edges =
-    [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3); (3, 4); (4, 5); (5, 6) ]
+    [| (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3); (3, 4); (4, 5); (5, 6) |]
   in
   match Netflow.Densest.densest_subset ~n:7 ~edges () with
   | Some (subset, d) ->
@@ -91,7 +119,7 @@ let test_densest_clique_inside_sparse () =
 
 let test_densest_with_weights () =
   (* One heavy node makes the pair (0,1) denser than the triangle. *)
-  let edges = [ (0, 1); (1, 2); (0, 2) ] in
+  let edges = [| (0, 1); (1, 2); (0, 2) |] in
   let weights = [| 1.0; 1.0; 10.0 |] in
   match Netflow.Densest.densest_subset ~weights ~n:3 ~edges () with
   | Some (subset, d) ->
@@ -102,14 +130,14 @@ let test_densest_with_weights () =
 let test_densest_with_bonuses () =
   (* No edges, but node 2 has a bonus. *)
   let bonuses = [| 0.0; 0.0; 4.0 |] in
-  match Netflow.Densest.densest_subset ~bonuses ~n:3 ~edges:[] () with
+  match Netflow.Densest.densest_subset ~bonuses ~n:3 ~edges:[||] () with
   | Some (subset, d) ->
       Alcotest.(check (list int)) "bonus node" [ 2 ] subset;
       check_float "density" 4.0 d
   | None -> Alcotest.fail "expected a subset"
 
 let test_density_of () =
-  let edges = [ (0, 1); (1, 2); (0, 2) ] in
+  let edges = [| (0, 1); (1, 2); (0, 2) |] in
   check_float "triangle" 1.0 (Netflow.Densest.density_of ~edges [ 0; 1; 2 ]);
   check_float "pair" 0.5 (Netflow.Densest.density_of ~edges [ 0; 1 ])
 
@@ -122,7 +150,7 @@ let random_instance seed =
       if Grapho.Rng.float rng 1.0 < 0.45 then edges := (u, v) :: !edges
     done
   done;
-  (n, !edges, rng)
+  (n, Array.of_list !edges, rng)
 
 let prop_flow_matches_brute_density =
   QCheck.Test.make ~name:"flow densest = brute force (unit weights)"
@@ -158,6 +186,140 @@ let prop_flow_matches_brute_weighted =
       | Some (_, d1), Some (_, d2) -> Float.abs (d1 -. d2) < 1e-6
       | _ -> false)
 
+(* Flow-path instances: n >= 13 is past the bitmask solver's limit, so
+   every call below goes through the min-cut search. A third of them
+   plant two disjoint equal cliques, so the densest set is tied and the
+   canonical choice matters. Edges come in shuffled order: the first
+   one is the search's seed. *)
+let flow_instance seed =
+  let rng = Grapho.Rng.create seed in
+  let n = 13 + Grapho.Rng.int rng 8 in
+  let label = Array.init n (fun i -> i) in
+  Grapho.Rng.shuffle rng label;
+  let edges = ref [] in
+  let add u v = edges := (label.(u), label.(v)) :: !edges in
+  (if seed mod 3 = 0 then begin
+     (* Two K_k on [0, 2k); every other vertex hangs off at most one
+        clique vertex and sparse noise, so neither beats (k-1)/2. *)
+     let k = 5 + Grapho.Rng.int rng 2 in
+     for u = 0 to (2 * k) - 1 do
+       for v = u + 1 to (2 * k) - 1 do
+         if u / k = v / k then add u v
+       done
+     done;
+     for w = 2 * k to n - 1 do
+       if Grapho.Rng.bool rng then add (Grapho.Rng.int rng (2 * k)) w;
+       for x = w + 1 to n - 1 do
+         if Grapho.Rng.float rng 1.0 < 0.15 then add w x
+       done
+     done
+   end
+   else begin
+     let p = 0.2 +. Grapho.Rng.float rng 0.4 in
+     for u = 0 to n - 1 do
+       for v = u + 1 to n - 1 do
+         if Grapho.Rng.float rng 1.0 < p then add u v
+       done
+     done
+   end);
+  let edges = Array.of_list !edges in
+  Grapho.Rng.shuffle rng edges;
+  (n, edges, rng)
+
+let prop_flow_path_unit =
+  QCheck.Test.make ~name:"flow path (n 13-20) = brute force (unit weights)"
+    ~count:12
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n, edges, _ = flow_instance seed in
+      match
+        ( Netflow.Densest.densest_subset ~n ~edges (),
+          Netflow.Densest.brute_force ~n ~edges () )
+      with
+      | None, None -> true
+      | Some (s, d1), Some (_, d2) ->
+          Float.abs (d1 -. d2) < 1e-9
+          && Netflow.Densest.density_of ~edges s = d1
+      | _ -> false)
+
+let prop_flow_path_weighted =
+  QCheck.Test.make
+    ~name:"flow path (n 13-20) = brute force (weights + bonuses)" ~count:12
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n, edges, rng = flow_instance seed in
+      let weights =
+        Array.init n (fun _ -> 0.5 +. Grapho.Rng.float rng 3.0)
+      in
+      let bonuses =
+        Array.init n (fun _ -> float_of_int (Grapho.Rng.int rng 3))
+      in
+      match
+        ( Netflow.Densest.densest_subset ~weights ~bonuses ~n ~edges (),
+          Netflow.Densest.brute_force ~weights ~bonuses ~n ~edges () )
+      with
+      | None, None -> true
+      | Some (s, d1), Some (_, d2) ->
+          Float.abs (d1 -. d2) < 1e-6
+          && Netflow.Densest.density_of ~weights ~bonuses ~edges s = d1
+      | _ -> false)
+
+(* The unit-weight answer is canonical: the densest sets are closed
+   under union, and the solver returns their union (the inclusion-
+   maximal densest set), unless the seed edge is already densest, in
+   which case it returns the seed. Densities are compared exactly as
+   the rationals e(S)/|S|, enumerating all 2^n subsets. *)
+let prop_flow_path_canonical =
+  QCheck.Test.make
+    ~name:"flow path (n 13-20) returns the inclusion-maximal densest set"
+    ~count:12
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let n, edges, _ = flow_instance seed in
+      let adj = Array.make n 0 in
+      Array.iter
+        (fun (u, v) ->
+          adj.(u) <- adj.(u) lor (1 lsl v);
+          adj.(v) <- adj.(v) lor (1 lsl u))
+        edges;
+      let rec popcount x =
+        if x = 0 then 0 else 1 + popcount (x land (x - 1))
+      in
+      let inside mask =
+        let e = ref 0 in
+        for v = 0 to n - 1 do
+          if mask land (1 lsl v) <> 0 then
+            e := !e + popcount (adj.(v) land mask)
+        done;
+        !e / 2
+      in
+      (* Best density e/k so far and the union of the sets attaining it. *)
+      let be = ref 0 and bk = ref 1 and union = ref 0 in
+      for mask = 1 to (1 lsl n) - 1 do
+        let e = inside mask and k = popcount mask in
+        let c = compare (e * !bk) (!be * k) in
+        if c > 0 then begin
+          be := e;
+          bk := k;
+          union := mask
+        end
+        else if c = 0 then union := !union lor mask
+      done;
+      let as_list mask =
+        List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init n Fun.id)
+      in
+      let expected =
+        if Array.length edges = 0 then None
+        else
+          let u0, v0 = edges.(0) in
+          if 2 * !be = !bk then Some (List.sort compare [ u0; v0 ])
+          else Some (as_list !union)
+      in
+      match (Netflow.Densest.densest_subset ~n ~edges (), expected) with
+      | None, None -> true
+      | Some (s, _), Some x -> s = x
+      | _ -> false)
+
 let prop_returned_subset_has_returned_density =
   QCheck.Test.make ~name:"reported density is exact for reported subset"
     ~count:50
@@ -165,7 +327,7 @@ let prop_returned_subset_has_returned_density =
     (fun seed ->
       let n, edges, _ = random_instance seed in
       match Netflow.Densest.densest_subset ~n ~edges () with
-      | None -> edges = []
+      | None -> edges = [||]
       | Some (subset, d) ->
           Float.abs (Netflow.Densest.density_of ~edges subset -. d) < 1e-9)
 
@@ -182,6 +344,7 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_disconnected_flow;
           Alcotest.test_case "negative rejected" `Quick
             test_negative_capacity_rejected;
+          Alcotest.test_case "reset reuse" `Quick test_reset_reuse;
         ] );
       ( "densest",
         [
@@ -196,5 +359,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_flow_matches_brute_density;
           QCheck_alcotest.to_alcotest prop_flow_matches_brute_weighted;
           QCheck_alcotest.to_alcotest prop_returned_subset_has_returned_density;
+          QCheck_alcotest.to_alcotest prop_flow_path_unit;
+          QCheck_alcotest.to_alcotest prop_flow_path_weighted;
+          QCheck_alcotest.to_alcotest prop_flow_path_canonical;
         ] );
     ]
