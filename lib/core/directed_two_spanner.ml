@@ -149,7 +149,8 @@ let shadow_problem c v =
       (fun (u, w) acc -> Edge.Set.add (Edge.make u w) acc)
       c.hv.(v) Edge.Set.empty
   in
-  Star_pick.make ~center:v ~nodes ~hv_edges ()
+  Star_pick.make ~center:v ~neighbors:nodes ~nodes
+    ~hv:(Star_pick.hv_of_edges ~neighbors:nodes hv_edges) ()
 
 (* The Section 4.1 closure, directed flavor: greedily add single
    underlying neighbors while the directed density stays above the

@@ -89,11 +89,12 @@ let greedy g ~f =
               if Iset.mem u h_adj.(v) then free := u :: !free
               else paying := u :: !paying)
             g v;
+          let neighbors = Ugraph.neighbors g v in
           let prob =
-            Star_pick.make ~center:v
+            Star_pick.make ~center:v ~neighbors
               ~nodes:(Array.of_list (List.rev !paying))
               ~free:(Array.of_list (List.rev !free))
-              ~hv_edges:hv ()
+              ~hv:(Star_pick.hv_of_edges ~neighbors hv) ()
           in
           match Star_pick.densest prob with
           | Some (sel, d) when d > 0.0 -> (

@@ -42,10 +42,11 @@ let run ?weights ?targets ?usable g =
         star.(v) <- []
       end
       else begin
+        let neighbors = Cover2.usable_neighbors cover v in
         let prob =
-          Star_pick.make ~center:v ~nodes:paying.(v) ~free:free.(v)
+          Star_pick.make ~center:v ~neighbors ~nodes:paying.(v) ~free:free.(v)
             ~weight:(fun u -> Weights.get w (Edge.make v u))
-            ~hv_edges:hv ()
+            ~hv:(Star_pick.hv_of_edges ~neighbors hv) ()
         in
         match Star_pick.densest prob with
         | Some (sel, d) when d > 0.0 ->

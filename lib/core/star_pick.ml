@@ -1,14 +1,22 @@
 open Grapho
 
+(* Roles of a neighbor position: a paying position's role is its index
+   in [nodes]. *)
+let free_role = -1
+let ineligible = -2
+
 type t = {
   center : int;
+  neighbors : int array;  (* ascending; the frame of [hv] *)
   nodes : int array;
-  pos : (int, int) Hashtbl.t;  (* paying neighbor -> position *)
+  role : int array;
+      (* per neighbor position: paying index, [free_role] or [ineligible] *)
+  hv : int array;  (* packed position pairs, ascending *)
   weight : float array;
-  edges : (int * int) array;  (* hv edges between paying neighbors, by position *)
+  edges : (int * int) array;
+      (* hv edges between paying neighbors, by paying index, descending *)
   adj : int list array;  (* same, as adjacency *)
-  free_edges : Edge.t list array;  (* hv edges from paying position to a free neighbor *)
-  bonus : float array;  (* |free_edges| per position *)
+  bonus : float array;  (* hv edges from a paying index to a free neighbor *)
   unit_weight : bool;  (* every weight is 1 *)
   zero_bonus : bool;  (* every bonus is 0 *)
   mutable densest_memo : (int list * float) option option;
@@ -16,52 +24,92 @@ type t = {
          [make], so one flow solve serves every later query *)
 }
 
-let make ~center ~nodes ?(free = [||]) ?(weight = fun _ -> 1.0) ~hv_edges () =
+(* Position of [v] in the ascending row [a], or -1. *)
+let position a v =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length a && a.(!lo) = v then !lo else -1
+
+let hv_of_edges ~neighbors edges =
+  let d = Array.length neighbors in
+  let keys =
+    Edge.Set.fold
+      (fun e acc ->
+        let u, w = Edge.endpoints e in
+        let i = position neighbors u and j = position neighbors w in
+        if i >= 0 && j >= 0 then ((i * d) + j) :: acc else acc)
+      edges []
+  in
+  Array.of_list (List.rev keys)
+
+let make ~center ~neighbors ~nodes ?(free = [||]) ?(weight = fun _ -> 1.0) ~hv
+    () =
+  let d = Array.length neighbors in
+  for p = 1 to d - 1 do
+    if neighbors.(p - 1) >= neighbors.(p) then
+      invalid_arg "Star_pick.make: neighbors not ascending"
+  done;
   let k = Array.length nodes in
-  let pos = Hashtbl.create (2 * k) in
-  Array.iteri (fun i v -> Hashtbl.replace pos v i) nodes;
-  let free_set = Hashtbl.create (2 * Array.length free) in
+  let role = Array.make d ineligible in
+  let position_exn v =
+    let p = position neighbors v in
+    if p < 0 then invalid_arg "Star_pick.make: node not a neighbor";
+    p
+  in
+  Array.iteri (fun i v -> role.(position_exn v) <- i) nodes;
   Array.iter
     (fun v ->
-      if Hashtbl.mem pos v then
+      let p = position_exn v in
+      if role.(p) >= 0 then
         invalid_arg "Star_pick.make: free neighbor also paying";
-      Hashtbl.replace free_set v ())
+      role.(p) <- free_role)
     free;
   let weight_arr = Array.map weight nodes in
   Array.iter
     (fun w -> if w <= 0.0 then invalid_arg "Star_pick.make: weight <= 0")
     weight_arr;
+  (* One pass over hv (ascending) conses the adjacency, counts the
+     bonuses and the paying pairs; a second fills [edges] from the
+     back, so the solver sees the pairs in descending order. *)
   let adj = Array.make k [] in
-  let free_edges = Array.make k [] in
-  let edges =
-    Edge.Set.fold
-      (fun e acc ->
-        let u, w = Edge.endpoints e in
-        match (Hashtbl.find_opt pos u, Hashtbl.find_opt pos w) with
-        | Some i, Some j ->
-            adj.(i) <- j :: adj.(i);
-            adj.(j) <- i :: adj.(j);
-            (i, j) :: acc
-        | Some i, None when Hashtbl.mem free_set w ->
-            free_edges.(i) <- e :: free_edges.(i);
-            acc
-        | None, Some j when Hashtbl.mem free_set u ->
-            free_edges.(j) <- e :: free_edges.(j);
-            acc
-        | _ -> acc)
-      hv_edges []
-  in
-  let bonus =
-    Array.init k (fun i -> float_of_int (List.length free_edges.(i)))
-  in
+  let bonus = Array.make k 0.0 in
+  let pairs = ref 0 and prev = ref (-1) in
+  Array.iter
+    (fun key ->
+      if key <= !prev || key >= d * d || key / d >= key mod d then
+        invalid_arg "Star_pick.make: hv not ascending position pairs";
+      prev := key;
+      let i = role.(key / d) and j = role.(key mod d) in
+      if i >= 0 && j >= 0 then begin
+        adj.(i) <- j :: adj.(i);
+        adj.(j) <- i :: adj.(j);
+        incr pairs
+      end
+      else if i >= 0 && j = free_role then bonus.(i) <- bonus.(i) +. 1.0
+      else if j >= 0 && i = free_role then bonus.(j) <- bonus.(j) +. 1.0)
+    hv;
+  let edges = Array.make !pairs (0, 0) in
+  let next = ref !pairs in
+  Array.iter
+    (fun key ->
+      let i = role.(key / d) and j = role.(key mod d) in
+      if i >= 0 && j >= 0 then begin
+        decr next;
+        edges.(!next) <- (i, j)
+      end)
+    hv;
   {
     center;
+    neighbors;
     nodes;
-    pos;
+    role;
+    hv;
     weight = weight_arr;
-    edges = Array.of_list edges;
+    edges;
     adj;
-    free_edges;
     bonus;
     unit_weight = Array.for_all (fun w -> w = 1.0) weight_arr;
     zero_bonus = Array.for_all (fun b -> b = 0.0) bonus;
@@ -71,13 +119,13 @@ let make ~center ~nodes ?(free = [||]) ?(weight = fun _ -> 1.0) ~hv_edges () =
 let center t = t.center
 let nodes t = t.nodes
 
-let positions t selection =
-  List.map
-    (fun v ->
-      match Hashtbl.find_opt t.pos v with
-      | Some i -> i
-      | None -> invalid_arg "Star_pick: vertex not an eligible neighbor")
-    selection
+let index t v =
+  let p = position t.neighbors v in
+  if p < 0 || t.role.(p) < 0 then
+    invalid_arg "Star_pick: vertex not an eligible neighbor";
+  t.role.(p)
+
+let positions t selection = List.map (index t) selection
 
 let selection_stats t selection =
   let ps = positions t selection in
@@ -101,22 +149,25 @@ let density t selection =
     let gain, weight = selection_stats t selection in
     gain /. weight
 
+let spanned_count t selection =
+  let gain, _ = selection_stats t selection in
+  int_of_float gain
+
 let spanned t selection =
   let inside = Array.make (Array.length t.nodes) false in
-  let ps = positions t selection in
-  List.iter (fun i -> inside.(i) <- true) ps;
-  let base =
-    Array.fold_left
-      (fun acc (i, j) ->
-        if inside.(i) && inside.(j) then
-          Edge.Set.add (Edge.make t.nodes.(i) t.nodes.(j)) acc
-        else acc)
-      Edge.Set.empty t.edges
-  in
-  List.fold_left
-    (fun acc i ->
-      List.fold_left (fun acc e -> Edge.Set.add e acc) acc t.free_edges.(i))
-    base ps
+  List.iter (fun i -> inside.(i) <- true) (positions t selection);
+  let d = Array.length t.neighbors in
+  let picked i = i >= 0 && inside.(i) in
+  Array.fold_left
+    (fun acc key ->
+      let lo = key / d and hi = key mod d in
+      let i = t.role.(lo) and j = t.role.(hi) in
+      if
+        (picked i && (picked j || j = free_role))
+        || (picked j && i = free_role)
+      then Edge.Set.add (Edge.make t.neighbors.(lo) t.neighbors.(hi)) acc
+      else acc)
+    Edge.Set.empty t.hv
 
 let densest_on t ~allowed_positions =
   (* Remap the restricted subproblem to a dense index space for the
@@ -225,7 +276,7 @@ let extend t ~start ~allowed ~threshold =
         done;
         match densest_on t ~allowed_positions:!remaining with
         | Some (vertices, d) when d >= threshold && vertices <> [] ->
-            List.iter (fun v -> add_position (Hashtbl.find t.pos v)) vertices;
+            List.iter (fun v -> add_position (index t v)) vertices;
             progress := true
         | _ -> ())
   done;

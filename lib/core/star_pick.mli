@@ -27,18 +27,32 @@ type t
 
 val make :
   center:int ->
+  neighbors:int array ->
   nodes:int array ->
   ?free:int array ->
   ?weight:(int -> float) ->
-  hv_edges:Edge.Set.t ->
+  hv:int array ->
   unit ->
   t
-(** [nodes] are the paying eligible neighbors of [center] and [free]
-    the weight-zero ones (disjoint from [nodes]); [hv_edges] the
-    uncovered targets, of which only those joining two eligible
-    (paying or free) neighbors matter. [weight v] is the cost of the
-    star edge [{center, v}] for [v] in [nodes] (default 1) and must be
-    positive. *)
+(** [neighbors] is a strictly ascending row of neighbors of [center]:
+    the frame in which [hv] is written. [nodes] are the paying
+    eligible neighbors and [free] the weight-zero ones, both drawn
+    from [neighbors] and disjoint; the rest of the row is ineligible.
+    [hv] lists the uncovered targets between two neighbors, each as
+    the packed pair [lo * d + hi] of its endpoints' positions
+    [lo < hi] in [neighbors] ([d] its length), strictly ascending —
+    sorted and duplicate-free, which is the order of the targets as
+    edges. Only targets joining two eligible (paying or free)
+    neighbors matter. [weight v] is the cost of the star edge
+    [{center, v}] for [v] in [nodes] (default 1) and must be positive.
+    Raises [Invalid_argument] when [neighbors] is not strictly
+    ascending, a paying or free vertex is missing from it, a free
+    neighbor is also paying, a weight is not positive, or [hv] is not
+    strictly ascending or holds a pair with [lo >= hi]. *)
+
+val hv_of_edges : neighbors:int array -> Edge.Set.t -> int array
+(** [hv_of_edges ~neighbors set] writes [set] in [make]'s [hv] frame,
+    dropping edges with an endpoint outside [neighbors] (ascending). *)
 
 val center : t -> int
 val nodes : t -> int array
@@ -50,6 +64,12 @@ val density : t -> int list -> float
 val spanned : t -> int list -> Edge.Set.t
 (** [H_v]-edges 2-spanned by the star: both endpoints selected, or one
     selected and one free. *)
+
+val spanned_count : t -> int list -> int
+(** [Edge.Set.cardinal (spanned t selection)] without building the
+    set: the star's gain, its spanned paying pairs plus the free
+    bonus of each selected neighbor. The selection must be
+    duplicate-free. *)
 
 val densest : t -> (int list * float) option
 (** Maximum-density star over all paying neighbors, from

@@ -315,9 +315,10 @@ let of_spec (spec : spec) =
     free.(v) <- Array.of_list fr
   done;
   let problem v =
-    Star_pick.make ~center:v ~nodes:paying.(v) ~free:free.(v)
+    let neighbors = Cover2.usable_neighbors cover v in
+    Star_pick.make ~center:v ~neighbors ~nodes:paying.(v) ~free:free.(v)
       ~weight:(fun u -> weight v u)
-      ~hv_edges:(Cover2.hv cover v) ()
+      ~hv:(Star_pick.hv_of_edges ~neighbors (Cover2.hv cover v)) ()
   in
   ( cover,
     {

@@ -15,8 +15,7 @@ type msg =
   | Final_added of int list
 
 type vstate = {
-  neighbors : int array;
-  nbr_set : (int, unit) Hashtbl.t;  (* static membership index *)
+  neighbors : int array;  (* ascending; the frame of [hv] *)
   paying : int array;  (* neighbors across positive-weight edges *)
   free : int array;  (* neighbors across weight-zero edges *)
   mutable uncovered_inc : Iset.t;  (* w with {v,w} an uncovered target *)
@@ -25,14 +24,16 @@ type vstate = {
          every hv mutation, so [compute_density] and the candidate
          phase of one iteration share a single [Star_pick.make] *)
   mutable h_adj : Iset.t;  (* spanner neighbors *)
-  mutable hv : Edge.Set.t;
+  mutable hv : int array;
+      (* H_v as {!Star_pick.make} reads it: packed position pairs
+         [lo * deg + hi] of [neighbors], ascending *)
   mutable rho : float;
   mutable exp : int;
   mutable max1 : int;
   mutable star : int list;
   mutable star_exp : int;
   mutable is_candidate : bool;
-  mutable covered_set : Edge.Set.t;  (* C_v of the current candidacy *)
+  mutable covered_count : int;  (* |C_v| of the current candidacy *)
   mutable max1_rho : float;
   mutable all1 : bool;
   mutable terminated : bool;
@@ -45,6 +46,60 @@ type result = {
   iterations : int;
   metrics : Distsim.Engine.metrics;
 }
+
+(* Per-domain scratch of [rebuild_hv], grown on demand and reused
+   across vertices, rounds and runs. [pos] maps a vertex id to its
+   position in the stepping vertex's neighbor row and is -1 everywhere
+   between calls; [keys.(0 .. len-1)] collects the reported position
+   pairs, sorted through [tmp] with buckets in [count]. *)
+type scratch = {
+  mutable pos : int array;
+  mutable keys : int array;
+  mutable len : int;
+  mutable tmp : int array;
+  mutable count : int array;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { pos = [||]; keys = [||]; len = 0; tmp = [||]; count = [||] })
+
+let push sc key =
+  if sc.len = Array.length sc.keys then begin
+    let bigger = Array.make (max 64 (2 * sc.len)) 0 in
+    Array.blit sc.keys 0 bigger 0 sc.len;
+    sc.keys <- bigger
+  end;
+  sc.keys.(sc.len) <- key;
+  sc.len <- sc.len + 1
+
+(* Sorts the collected keys, each a pair (lo, hi) of positions in a
+   row of length [d] packed as [lo lsl bits lor hi], by two stable
+   counting passes (on hi, then on lo): O(len + d) time and space. *)
+let sort_pairs sc ~d ~bits =
+  let len = sc.len and mask = (1 lsl bits) - 1 in
+  if Array.length sc.tmp < len then
+    sc.tmp <- Array.make (Array.length sc.keys) 0;
+  if Array.length sc.count <= d then sc.count <- Array.make (2 * (d + 1)) 0;
+  let count = sc.count in
+  let pass src dst shift =
+    Array.fill count 0 (d + 1) 0;
+    for i = 0 to len - 1 do
+      let c = (src.(i) lsr shift) land mask in
+      count.(c + 1) <- count.(c + 1) + 1
+    done;
+    for c = 1 to d do
+      count.(c) <- count.(c) + count.(c - 1)
+    done;
+    for i = 0 to len - 1 do
+      let key = src.(i) in
+      let c = (key lsr shift) land mask in
+      dst.(count.(c)) <- key;
+      count.(c) <- count.(c) + 1
+    done
+  in
+  pass sc.keys sc.tmp 0;
+  pass sc.tmp sc.keys bits
 
 let rounds_per_iteration = 12
 let warmup_rounds = 3
@@ -90,8 +145,10 @@ let congest_phases ~chunks_per_round r =
   else None
 
 (* Parallel-safety note (Engine [?par]): the spec below keeps every
-   piece of mutable state inside the per-vertex [vstate] record, and
-   its randomness is the pure [(seed, vertex, iteration)]-keyed
+   piece of per-vertex mutable state inside the [vstate] record, its
+   only shared buffers are the per-domain [scratch] (a step runs to
+   completion on one domain and leaves [pos] all -1 again), and its
+   randomness is the pure [(seed, vertex, iteration)]-keyed
    {!Randomness.vote_value} — no shared RNG, no cross-vertex writes —
    so stepping vertices on concurrent domains is race-free by
    construction. *)
@@ -112,12 +169,13 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
     | None -> min_int
   in
   let problem vertex st =
-    Star_pick.make ~center:vertex ~nodes:st.paying ~free:st.free
+    Star_pick.make ~center:vertex ~neighbors:st.neighbors ~nodes:st.paying
+      ~free:st.free
       ~weight:(fun u -> rules.weight vertex u)
-      ~hv_edges:st.hv ()
+      ~hv:st.hv ()
   in
   let compute_density vertex st =
-    if Edge.Set.is_empty st.hv then begin
+    if Array.length st.hv = 0 then begin
       st.prob <- None;
       st.rho <- 0.0;
       st.exp <- min_int
@@ -139,59 +197,95 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
           st.exp <- exponent_of rho
     end
   in
-  let rebuild_hv vertex st inbox =
+  let rebuild_hv st inbox =
     (* Each [Uncovered]/[Fresh_uncovered] message is (neighbor u, u's
        uncovered incident endpoints). An edge {u,w} belongs to H_v iff
        both u and w are neighbors of v and either reports it uncovered
-       (they agree, so one suffices). Neighbor membership is the
-       static [nbr_set] index built once in [init]; the inbox is
-       folded directly — no intermediate (src, list) pairs. *)
-    let hv' =
-      Distsim.Engine.inbox_fold
-        (fun acc ~src:u m ->
-          match m with
-          | Uncovered ws | Fresh_uncovered ws ->
-              List.fold_left
-                (fun acc w ->
-                  if w <> u && w <> vertex && Hashtbl.mem st.nbr_set w then
-                    Edge.Set.add (Edge.make u w) acc
-                  else acc)
-                acc ws
-          | _ -> acc)
-        Edge.Set.empty inbox
+       (they agree, so one suffices; when a report is lost, the other
+       still brings the edge in). Endpoints map to row positions
+       through the scratch [pos] (v itself and non-neighbors read -1);
+       the reported pairs are counting-sorted and deduplicated. *)
+    let sc = Domain.DLS.get scratch in
+    if Array.length sc.pos < n then sc.pos <- Array.make n (-1);
+    let pos = sc.pos and nbrs = st.neighbors in
+    let d = Array.length nbrs in
+    Array.iteri (fun i u -> pos.(u) <- i) nbrs;
+    let bits = Star_pick.log2_ceil d in
+    (* Reported lists are ascending ([Iset.elements]), so a scan stops
+       at the first endpoint above the row's largest neighbor. *)
+    let top = if d = 0 then -1 else nbrs.(d - 1) in
+    let rec scan pu = function
+      | w :: rest when w <= top ->
+          let pw = pos.(w) in
+          if pw >= 0 && pw <> pu then
+            push sc
+              (if pu < pw then (pu lsl bits) lor pw else (pw lsl bits) lor pu);
+          scan pu rest
+      | _ -> ()
     in
+    sc.len <- 0;
+    Distsim.Engine.inbox_iter
+      (fun ~src m ->
+        match m with
+        | Uncovered ws | Fresh_uncovered ws -> scan pos.(src) ws
+        | _ -> ())
+      inbox;
+    Array.iter (fun u -> pos.(u) <- -1) nbrs;
+    sort_pairs sc ~d ~bits;
+    (* Dedup in place, repacking each pair as [lo * d + hi]. *)
+    let keys = sc.keys and mask = (1 lsl bits) - 1 in
+    let m = ref 0 and prev = ref (-1) in
+    for i = 0 to sc.len - 1 do
+      let key = keys.(i) in
+      if key <> !prev then begin
+        prev := key;
+        keys.(!m) <- ((key lsr bits) * d) + (key land mask);
+        incr m
+      end
+    done;
     (* Keep the cached problem (and with it the cached density) alive
        across iterations in which nothing near this vertex changed —
        the steady state of almost-terminated regions. *)
-    if not (Edge.Set.equal hv' st.hv) then begin
-      st.hv <- hv';
+    let m = !m and hv = st.hv in
+    let rec same i = i = m || (hv.(i) = keys.(i) && same (i + 1)) in
+    if not (Array.length hv = m && same 0) then begin
+      st.hv <- Array.sub keys 0 m;
       st.prob <- None
     end
   in
-  (* H_v edges newly 2-spanned through this vertex; emits the notices
-     and prunes them from hv. *)
+  (* H_v edges newly 2-spanned through this vertex; emits the notices,
+     in ascending edge order, and prunes them from hv. *)
   let via_me_notices st out =
-    let covered =
-      Edge.Set.filter
-        (fun e ->
-          let u, w = Edge.endpoints e in
-          Iset.mem u st.h_adj && Iset.mem w st.h_adj)
-        st.hv
+    let hv = st.hv and nbrs = st.neighbors in
+    let d = Array.length nbrs in
+    let spanned key =
+      Iset.mem nbrs.(key / d) st.h_adj && Iset.mem nbrs.(key mod d) st.h_adj
     in
-    st.hv <- Edge.Set.diff st.hv covered;
-    if not (Edge.Set.is_empty covered) then begin
+    let covered =
+      if Iset.is_empty st.h_adj then 0
+      else Array.fold_left (fun c key -> if spanned key then c + 1 else c) 0 hv
+    in
+    if covered > 0 then begin
       st.prob <- None;
+      let rest = Array.make (Array.length hv - covered) 0 and kept = ref 0 in
       let per_endpoint = Hashtbl.create 8 in
-      Edge.Set.iter
-        (fun e ->
-          let u, w = Edge.endpoints e in
-          List.iter
-            (fun x ->
-              Hashtbl.replace per_endpoint x
-                ((u, w)
-                :: Option.value ~default:[] (Hashtbl.find_opt per_endpoint x)))
-            [ u; w ])
-        covered;
+      let notify x pair =
+        Hashtbl.replace per_endpoint x
+          (pair :: Option.value ~default:[] (Hashtbl.find_opt per_endpoint x))
+      in
+      Array.iter
+        (fun key ->
+          if spanned key then begin
+            let pair = (nbrs.(key / d), nbrs.(key mod d)) in
+            notify (fst pair) pair;
+            notify (snd pair) pair
+          end
+          else begin
+            rest.(!kept) <- key;
+            incr kept
+          end)
+        hv;
+      st.hv <- rest;
       Hashtbl.iter
         (fun dst pairs ->
           Distsim.Engine.emit out ~dst (Covered_notice pairs))
@@ -226,12 +320,9 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
         (* Weight-zero edges enter the spanner before the first
            iteration; their own targets are covered by membership. *)
         let free = Array.of_list (List.rev !free) in
-        let nbr_set = Hashtbl.create (2 * Array.length neighbors) in
-        Array.iter (fun u -> Hashtbl.replace nbr_set u ()) neighbors;
         let st =
           {
             neighbors;
-            nbr_set;
             paying = Array.of_list (List.rev !paying);
             free;
             prob = None;
@@ -241,14 +332,14 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
                   if rules.weight vertex u = 0.0 then s else Iset.add u s)
                 Iset.empty neighbors;
             h_adj = Array.fold_left (fun s u -> Iset.add u s) Iset.empty free;
-            hv = Edge.Set.empty;
+            hv = [||];
             rho = 0.0;
             exp = min_int;
             max1 = min_int;
             star = [];
             star_exp = min_int;
             is_candidate = false;
-            covered_set = Edge.Set.empty;
+            covered_count = 0;
             max1_rho = 0.0;
             all1 = true;
             terminated = false;
@@ -267,7 +358,7 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
             (* W1: pre-added weight-zero 2-paths already cover some
                targets; notify their endpoints. A no-op when there are
                no zero-weight edges. *)
-            rebuild_hv vertex st inbox;
+            rebuild_hv st inbox;
             via_me_notices st out;
             (st, `Continue)
           end
@@ -283,7 +374,7 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
           (match phase with
           | 0 ->
               (* Uncovered lists -> H_v -> density. *)
-              rebuild_hv vertex st inbox;
+              rebuild_hv st inbox;
               compute_density vertex st;
               broadcast st out (Density (st.exp, st.terminated))
           | 1 ->
@@ -334,10 +425,10 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
                 if selection <> [] then begin
                   st.star <- selection;
                   st.star_exp <- st.exp;
-                  let covered = Star_pick.spanned prob selection in
-                  if not (Edge.Set.is_empty covered) then begin
+                  let covered = Star_pick.spanned_count prob selection in
+                  if covered > 0 then begin
                     st.is_candidate <- true;
-                    st.covered_set <- covered;
+                    st.covered_count <- covered;
                     let r =
                       Randomness.vote_value ~seed ~vertex
                         ~iteration:st.iteration ~bound:n4
@@ -428,7 +519,7 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
                 in
                 if
                   float_of_int votes
-                  >= 0.125 *. float_of_int (Edge.Set.cardinal st.covered_set)
+                  >= 0.125 *. float_of_int st.covered_count
                 then begin
                   (* The star joins the spanner. *)
                   List.iter
@@ -455,7 +546,7 @@ let make_spec ~seed ~(rules : Two_spanner_engine.rules) g =
               absorb_notices vertex st inbox;
               broadcast st out (Fresh_uncovered (uncovered_list st))
           | 7 ->
-              rebuild_hv vertex st inbox;
+              rebuild_hv st inbox;
               compute_density vertex st;
               broadcast st out (Rho (st.rho, st.terminated))
           | 8 ->

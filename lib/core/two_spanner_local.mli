@@ -20,6 +20,13 @@
     A vertex goes quiet once everyone within distance 2 has
     terminated.
 
+    Each vertex keeps its [H_v] as a sorted, duplicate-free array of
+    position pairs of its (ascending) neighbor row, the input
+    {!Star_pick.make} reads. The rebuild maps reported endpoints to
+    positions and counting-sorts the pairs in per-domain scratch, so
+    it costs O(reported entries + degree): no edge sets, no hashing,
+    no comparison sort.
+
     Vote values come from {!Randomness} keyed on [(seed, vertex,
     iteration)], exactly as in {!Two_spanner_engine}: running both
     with the same seed on the same graph yields the {e identical}

@@ -2,8 +2,8 @@
 # Tier-1 gate: everything a PR must keep green.
 #   - full build
 #   - the unit/integration/property suites (includes the GC-regression
-#     allocation guard, also run below by name so a suite filter can't
-#     silently drop it)
+#     allocation guards, also run below by name so a suite filter can't
+#     silently drop them)
 #   - a bench smoke run exercising the --json perf-trajectory and
 #     --trace event-stream paths; the emitted JSON must carry the
 #     spanner-bench/10 "faults", "csr" and "frugal" rows (the frugal row's physical message
@@ -65,6 +65,9 @@ dune exec test/test_engine_sched.exe -- test allocation > /dev/null
 # The CSR builder's GC guard (10^5 vertices, fixed minor-words
 # ceiling), explicitly.
 dune exec test/test_csr.exe -- test gc > /dev/null
+# The LOCAL density phase's GC guard (one clique-ladder bootstrap under
+# a fixed minor-words ceiling), explicitly.
+dune exec test/test_local_protocol.exe -- test gc > /dev/null
 
 # e1's anchors make thousands of flow-path densest-star calls, so
 # gating their engine metrics pins that oracle's answers.

@@ -400,6 +400,142 @@ let prop_ft_greedy_valid =
       let r = C.Fault_tolerant.greedy g ~f in
       C.Fault_tolerant.is_ft_2_spanner g ~f r.spanner)
 
+
+(* ------------------------------------------------------------------ *)
+(* Golden pins for the LOCAL protocol family: a digest of each run's
+   spanner edges and its deterministic engine counts, recorded before
+   H_v moved from edge sets to neighbour-position arrays. Weighted runs
+   with zero-weight edges exercise the free-neighbour bonus path, the
+   CONGEST compilation the chunked transport, [~active] a sparse ball,
+   and a drop adversary the case where only one endpoint's [Uncovered]
+   report of an H_v edge arrives. *)
+
+let spanner_digest s =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun e ->
+               let u, v = Edge.endpoints e in
+               Printf.sprintf "%d-%d" u v)
+             (Edge.Set.elements s))))
+
+(* Spanner size and iterations, then the deterministic engine counts
+   in [metrics] field order; and the spanner's digest. *)
+let run_line (r : C.Two_spanner_local.result) =
+  let m = r.metrics in
+  ( Printf.sprintf "%d %d %d %d %d %d %d %d %d %d %d %d"
+      (Edge.Set.cardinal r.spanner) r.iterations m.rounds m.messages
+      m.total_bits m.max_message_bits m.congest_violations m.steps m.dropped
+      m.crashed m.sent_physical m.sent_bits,
+    spanner_digest r.spanner )
+
+let golden_runs () =
+  let ladder = Generators.clique_ladder (Rng.create 1) 80 in
+  let cave = Generators.caveman_n (Rng.create 2) 3000 0.1 in
+  let gnp = Generators.gnp_connected (Rng.create 3) 100 0.3 in
+  let wg = Generators.gnp_connected (Rng.create 4) 40 0.3 in
+  let w =
+    Generators.random_weights_with_zeros (Rng.create 5) wg
+      ~zero_fraction:0.25 ~max_weight:6
+  in
+  let small = Generators.gnp_connected (Rng.create 6) 24 0.3 in
+  let pa = Generators.preferential_attachment (Rng.create 7) 300 4 in
+  let ball = Array.of_list (List.sort compare (Traversal.ball pa 0 2)) in
+  let faulty = Generators.caveman_n (Rng.create 8) 200 0.1 in
+  let adversary =
+    match Distsim.Faults.parse "drop=0.05,seed=9" with
+    | Ok s -> Distsim.Faults.compile ~n:(Ugraph.n faulty) s
+    | Error e -> failwith e
+  in
+  [
+    ("ladder80", fun () -> C.Two_spanner_local.run ~seed:11 ladder);
+    ("caveman3000", fun () -> C.Two_spanner_local.run ~seed:12 cave);
+    ("gnp100", fun () -> C.Two_spanner_local.run ~seed:13 gnp);
+    ("weighted", fun () -> C.Two_spanner_local.run_weighted ~seed:14 wg w);
+    ("congest", fun () -> C.Two_spanner_local.run_congest ~seed:15 small);
+    ("active", fun () -> C.Two_spanner_local.run ~seed:16 ~active:ball pa);
+    ( "drop",
+      fun () -> C.Two_spanner_local.run ~seed:17 ~adversary ~retry:3 faulty );
+  ]
+
+let golden_lines =
+  [
+    ( "ladder80",
+      "307 3 48 31405 1411752 242 0 3920 0 0 31405 1411752",
+      "2394a6f0280e4148755f33a5b695d5ad" );
+    ( "caveman3000",
+      "6545 2 36 405945 19125072 220 0 101238 0 0 405945 19125072",
+      "61a33a1ca5aac3c70b28672a20d481c5" );
+    ( "gnp100",
+      "879 2 36 65218 4264593 333 0 3700 0 0 65218 4264593",
+      "e2a8fac0c0469fbcce76a81f6ce564db" );
+    ( "weighted",
+      "194 5 72 20066 701552 136 0 2920 0 0 20066 701552",
+      "3a4896658853dabfee38c8ebc879668b" );
+    ( "congest",
+      "90 2 1080 22301 230537 38 0 25944 0 0 22301 230537",
+      "7f15174265a6355f1383c61c58b22c49" );
+    ( "active",
+      "754 1 24 23320 1289665 445 0 5525 0 0 23320 1289665",
+      "d5ab3f9d0160f544efb4b2e541aaa9ee" );
+    ( "drop",
+      "453 1 24 65457 2665500 132 0 5000 3345 0 65457 2665500",
+      "880a62bb133ff5cdb32eb2434950b6d5" );
+  ]
+
+let test_local_golden () =
+  List.iter2
+    (fun (name, run) (name', counts, digest) ->
+      let got_counts, got_digest = run_line (run ()) in
+      Alcotest.(check string) "pin order" name' name;
+      Alcotest.(check string) (name ^ " counts") counts got_counts;
+      Alcotest.(check string) (name ^ " spanner") digest got_digest)
+    (golden_runs ()) golden_lines
+
+(* Hub degree: the density phase must cost O(entries + deg) per vertex,
+   never deg^2. A star K_{1,20000}, whose hub has an empty H_v, and a
+   preferential-attachment graph with hubs of degree in the hundreds
+   must both bootstrap to valid spanners inside one fixed wall-clock
+   budget (with a deg x deg scratch the star's hub alone would need
+   4 * 10^8 cells per rebuild). *)
+let hub_budget_s = 20.0
+
+let test_hub_degree () =
+  let t0 = Unix.gettimeofday () in
+  let star = Generators.star 20_001 in
+  let r = C.Two_spanner_local.run ~seed:1 ~par:1 star in
+  check "star valid" true (C.Spanner_check.is_2_spanner_fast star r.spanner);
+  check_int "star keeps every edge" 20_000 (Edge.Set.cardinal r.spanner);
+  let pa = Generators.preferential_attachment (Rng.create 1) 20_000 3 in
+  check "pa has hubs" true (Ugraph.max_degree pa >= 200);
+  let r = C.Two_spanner_local.run ~seed:1 ~par:1 pa in
+  check "pa valid" true (C.Spanner_check.is_2_spanner_fast pa r.spanner);
+  let spent = Unix.gettimeofday () -. t0 in
+  check
+    (Printf.sprintf "%.1f s under budget %.0f s" spent hub_budget_s)
+    true (spent < hub_budget_s)
+
+(* Allocation guard for the density phase: one sequential LOCAL
+   bootstrap of a clique ladder under a fixed minor-words ceiling.
+   H_v as edge sets cost ~1.3-1.45 M words here; as position arrays
+   built in per-domain scratch, ~0.6 M. *)
+let density_gc_minor_words_ceiling = 1_000_000.0
+
+let test_density_gc_guard () =
+  let g = Generators.clique_ladder (Rng.create 1) 80 in
+  (* Warm-up run so the per-domain scratch reaches capacity. *)
+  ignore (C.Two_spanner_local.run ~par:1 g);
+  let before = Gc.minor_words () in
+  let r = C.Two_spanner_local.run ~par:1 g in
+  let spent = Gc.minor_words () -. before in
+  check "valid" true (C.Spanner_check.is_2_spanner_fast g r.spanner);
+  check
+    (Printf.sprintf "minor words %.0f under ceiling %.0f" spent
+       density_gc_minor_words_ceiling)
+    true
+    (spent < density_gc_minor_words_ceiling)
+
 let extra_suites =
     [
       ( "trace",
@@ -417,6 +553,11 @@ let extra_suites =
         ] );
       ( "weighted_epsilon",
         [ Alcotest.test_case "ratio" `Quick test_weighted_epsilon ] );
+      ( "golden",
+        [ Alcotest.test_case "local family" `Quick test_local_golden ] );
+      ( "hubs", [ Alcotest.test_case "hub degree" `Quick test_hub_degree ] );
+      ( "gc",
+        [ Alcotest.test_case "density phase" `Quick test_density_gc_guard ] );
       ( "mds_coin",
         [ Alcotest.test_case "valid" `Quick test_mds_coin_variant ] );
     ]

@@ -116,14 +116,18 @@ let test_cover2_rejects_non_usable () =
 (* ------------------------------------------------------------------ *)
 (* Star_pick *)
 
+(* H_v in [make]'s frame: each pair (lo, hi) of positions in the
+   neighbor row, packed as lo * d + hi. *)
+let hv_of_pairs ~d pairs =
+  Array.of_list (List.map (fun (lo, hi) -> (lo * d) + hi) pairs)
+
 let star_problem () =
   (* Center 0 of K5: neighbors 1..4, H_v = all 6 edges among them. *)
-  let hv_edges =
-    Edge.Set.of_list
-      [ Edge.make 1 2; Edge.make 1 3; Edge.make 1 4; Edge.make 2 3;
-        Edge.make 2 4; Edge.make 3 4 ]
+  let hv =
+    hv_of_pairs ~d:4 [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ]
   in
-  C.Star_pick.make ~center:0 ~nodes:[| 1; 2; 3; 4 |] ~hv_edges ()
+  let neighbors = [| 1; 2; 3; 4 |] in
+  C.Star_pick.make ~center:0 ~neighbors ~nodes:neighbors ~hv ()
 
 let test_star_density () =
   let p = star_problem () in
@@ -144,7 +148,9 @@ let test_star_spanned () =
   check_int "spanned by pair" 1
     (Edge.Set.cardinal (C.Star_pick.spanned p [ 1; 2 ]));
   check_int "spanned by triple" 3
-    (Edge.Set.cardinal (C.Star_pick.spanned p [ 1; 2; 3 ]))
+    (Edge.Set.cardinal (C.Star_pick.spanned p [ 1; 2; 3 ]));
+  check_int "counted by pair" 1 (C.Star_pick.spanned_count p [ 1; 2 ]);
+  check_int "counted by triple" 3 (C.Star_pick.spanned_count p [ 1; 2; 3 ])
 
 let test_star_extend_grows () =
   let p = star_problem () in
@@ -163,13 +169,81 @@ let test_star_extend_respects_allowed () =
 let test_star_free_nodes () =
   (* Neighbor 2 is free (weight 0 edge); H_v edge {1,2} comes at the
      price of selecting only node 1. *)
-  let hv_edges = Edge.Set.singleton (Edge.make 1 2) in
+  let hv = hv_of_pairs ~d:2 [ (0, 1) ] in
   let p =
-    C.Star_pick.make ~center:0 ~nodes:[| 1 |] ~free:[| 2 |] ~hv_edges ()
+    C.Star_pick.make ~center:0 ~neighbors:[| 1; 2 |] ~nodes:[| 1 |]
+      ~free:[| 2 |] ~hv ()
   in
   check_float "bonus density" 1.0 (C.Star_pick.density p [ 1 ]);
   check_int "spanned includes free edge" 1
-    (Edge.Set.cardinal (C.Star_pick.spanned p [ 1 ]))
+    (Edge.Set.cardinal (C.Star_pick.spanned p [ 1 ]));
+  check_int "counted with free edge" 1 (C.Star_pick.spanned_count p [ 1 ])
+
+let test_star_hv_frame () =
+  (* [hv_of_edges] drops edges leaving the row and packs the rest in
+     ascending order; [make] rejects unsorted or repeated pairs. *)
+  let neighbors = [| 2; 5; 7; 9 |] in
+  let edges =
+    Edge.Set.of_list [ Edge.make 5 9; Edge.make 2 7; Edge.make 7 8 ]
+  in
+  Alcotest.(check (array int))
+    "packed" (hv_of_pairs ~d:4 [ (0, 2); (1, 3) ])
+    (C.Star_pick.hv_of_edges ~neighbors edges);
+  let rejects hv =
+    try
+      ignore (C.Star_pick.make ~center:0 ~neighbors ~nodes:neighbors ~hv ());
+      false
+    with Invalid_argument _ -> true
+  in
+  check "unsorted" true (rejects (hv_of_pairs ~d:4 [ (1, 3); (0, 2) ]));
+  check "repeated" true (rejects (hv_of_pairs ~d:4 [ (0, 2); (0, 2) ]));
+  check "reversed pair" true (rejects (hv_of_pairs ~d:4 [ (2, 0) ]))
+
+(* On a random row with random paying/free/ineligible roles, a random
+   H_v and a random selection, [spanned_count] and [spanned] both agree
+   with the 2-spanned set computed from the definition. *)
+let prop_star_spanned_count =
+  QCheck.Test.make ~name:"spanned_count = |independent spanned set|"
+    ~count:200
+    QCheck.(pair (int_range 1 9) (int_range 0 1_000_000))
+    (fun (d, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let neighbors = Array.init d (fun i -> (3 * i) + 1) in
+      let role = Array.init d (fun _ -> Random.State.int rng 3) in
+      let with_role r =
+        List.filter (fun p -> role.(p) = r) (List.init d Fun.id)
+      in
+      let paying = with_role 0 and free = with_role 1 in
+      let pairs =
+        List.concat_map
+          (fun lo ->
+            List.filter_map
+              (fun hi -> if Random.State.bool rng then Some (lo, hi) else None)
+              (List.init (d - lo - 1) (fun k -> lo + k + 1)))
+          (List.init d Fun.id)
+      in
+      let selected = List.filter (fun _ -> Random.State.bool rng) paying in
+      let vertex p = neighbors.(p) in
+      let p =
+        C.Star_pick.make ~center:0 ~neighbors
+          ~nodes:(Array.of_list (List.map vertex paying))
+          ~free:(Array.of_list (List.map vertex free))
+          ~hv:(hv_of_pairs ~d pairs) ()
+      in
+      let picked x = List.mem x selected in
+      let expected =
+        List.fold_left
+          (fun acc (lo, hi) ->
+            if
+              (picked lo && (picked hi || role.(hi) = 1))
+              || (picked hi && role.(lo) = 1)
+            then Edge.Set.add (Edge.make (vertex lo) (vertex hi)) acc
+            else acc)
+          Edge.Set.empty pairs
+      in
+      let selection = List.map vertex selected in
+      C.Star_pick.spanned_count p selection = Edge.Set.cardinal expected
+      && Edge.Set.equal (C.Star_pick.spanned p selection) expected)
 
 let test_rounded_exponent () =
   check "zero" true (C.Star_pick.rounded_exponent 0.0 = None);
@@ -541,6 +615,8 @@ let () =
           Alcotest.test_case "extend allowed" `Quick
             test_star_extend_respects_allowed;
           Alcotest.test_case "free nodes" `Quick test_star_free_nodes;
+          Alcotest.test_case "hv frame" `Quick test_star_hv_frame;
+          QCheck_alcotest.to_alcotest prop_star_spanned_count;
           Alcotest.test_case "rounded exponent" `Quick test_rounded_exponent;
         ] );
       ( "two_spanner",
