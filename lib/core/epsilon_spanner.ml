@@ -44,36 +44,9 @@ let run ?rng ?weights ~epsilon ~k g =
   let spanner = ref Edge.Set.empty in
   let uncovered = ref (Ugraph.edge_set g) in
   let refresh_uncovered () =
-    let adj = Traversal.adjacency_of_set ~n !spanner in
     uncovered :=
-      Edge.Set.filter
-        (fun e ->
-          let u, v = Edge.endpoints e in
-          not
-            (let dist = Array.make n (-1) in
-             let q = Queue.create () in
-             dist.(u) <- 0;
-             Queue.add u q;
-             let found = ref false in
-             (try
-                while not (Queue.is_empty q) do
-                  let x = Queue.pop q in
-                  if dist.(x) < k then
-                    List.iter
-                      (fun y ->
-                        if dist.(y) = -1 then begin
-                          dist.(y) <- dist.(x) + 1;
-                          if y = v then begin
-                            found := true;
-                            raise Exit
-                          end;
-                          Queue.add y q
-                        end)
-                      adj.(x)
-                done
-              with Exit -> ());
-             !found))
-        !uncovered
+      Edge.Set.of_list
+        (Spanner_check.uncovered_of_targets ~n ~targets:!uncovered !spanner ~k)
   in
   let balls = ref 0 in
   List.iter

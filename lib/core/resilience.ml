@@ -127,14 +127,14 @@ let run ?(seed = 0x2D5F1) ?(retry = 1) ?sched ?par ?max_rounds ~protocol
     match outcome with
     | Error msg -> (false, Some msg, 0, 0, false, -1)
     | Ok (`Spanner s) ->
+        (* s' ⊆ g' by construction, so stretch ≤ 2 is the verdict. *)
         let s' = surviving_edges s ~graph:g' in
-        let valid = Spanner_check.is_spanner g' s' ~k:2 in
         let st = Spanner_check.stretch g' s' in
         ( true,
           None,
           Edge.Set.cardinal s,
           Edge.Set.cardinal s',
-          valid,
+          st <= 2,
           if st = max_int then -1 else st )
     | Ok (`Mds d) ->
         let d' = List.filter (fun v -> v < n && alive.(v)) d in

@@ -1,63 +1,10 @@
 open Grapho
 
-(* Coverage tests run one bounded BFS per queried edge over adjacency
-   built once from the candidate set. *)
-
-let bounded_reach adj n src dst bound =
-  if src = dst then true
-  else begin
-    let dist = Array.make n (-1) in
-    let q = Queue.create () in
-    dist.(src) <- 0;
-    Queue.add src q;
-    let found = ref false in
-    (try
-       while not (Queue.is_empty q) do
-         let x = Queue.pop q in
-         if dist.(x) < bound then
-           List.iter
-             (fun y ->
-               if dist.(y) = -1 then begin
-                 dist.(y) <- dist.(x) + 1;
-                 if y = dst then begin
-                   found := true;
-                   raise Exit
-                 end;
-                 Queue.add y q
-               end)
-             adj.(x)
-       done
-     with Exit -> ());
-    !found
-  end
-
-let covers_edge ~n s ~k e =
-  let adj = Traversal.adjacency_of_set ~n s in
-  let u, v = Edge.endpoints e in
-  bounded_reach adj n u v k
-
-let uncovered_of_targets ~n ~targets s ~k =
-  let adj = Traversal.adjacency_of_set ~n s in
-  Edge.Set.fold
-    (fun e acc ->
-      let u, v = Edge.endpoints e in
-      if bounded_reach adj n u v k then acc else e :: acc)
-    targets []
-
-let uncovered_edges g s ~k =
-  uncovered_of_targets ~n:(Ugraph.n g) ~targets:(Ugraph.edge_set g) s ~k
-
-let is_spanner g s ~k =
-  Edge.Set.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      if not (Ugraph.mem_edge g u v) then
-        invalid_arg "Spanner_check.is_spanner: spanner edge not in graph")
-    s;
-  uncovered_edges g s ~k = []
-
-let is_spanner_of_targets ~n ~targets s ~k =
-  uncovered_of_targets ~n ~targets s ~k = []
+(* Every check here asks one question (Section 1.5): does the candidate
+   hold a path of length at most k between the endpoints of an edge?
+   The candidate enters as its own CSR, built once per call, and each
+   question is one Traversal.search bounded at k on a shared
+   epoch-stamped scratch — or, for k = 2, one sorted-row merge. *)
 
 let spanner_csr = Ugraph.of_edge_set
 
@@ -65,60 +12,55 @@ let covers_edge_2 ~spanner_csr u v =
   Ugraph.mem_edge spanner_csr u v
   || Ugraph.common_neighbor spanner_csr u v >= 0
 
-(* Specialized stretch-2 path at CSR scale. [is_spanner] runs one
-   bounded BFS with an O(n) distance array per queried edge — O(m n)
-   for a full verdict, infeasible at the 10^5/10^6 churn anchors. For
-   k = 2 a certificate is just "the edge itself, or one common
-   neighbor inside the spanner", so against the candidate set's own
-   CSR the whole verdict is m sorted-row merges. *)
-let is_2_spanner_csr g ~spanner_csr =
-  let ok = ref true in
-  (try
-     Ugraph.iter_edges_uv
-       (fun u v ->
-         if not (covers_edge_2 ~spanner_csr u v) then begin
-           ok := false;
-           raise Exit
-         end)
-       g
-   with Exit -> ());
-  !ok
+(* The stretch-k coverage predicate of the walked candidate. *)
+let within (w : Traversal.walk) ~k =
+  let sc = Traversal.scratch ~n:w.n () in
+  fun u v -> Traversal.distance_within sc w ~bound:k u v <> max_int
 
-let is_2_spanner_fast g s =
-  is_2_spanner_csr g ~spanner_csr:(Ugraph.induced_by_edges g s)
+let covers sg ~k =
+  if k = 2 then covers_edge_2 ~spanner_csr:sg
+  else within (Traversal.ugraph sg) ~k
+
+(* Fold step collecting the uncovered edges, newest first. *)
+let keep_uncovered endpoints covered e acc =
+  let u, v = endpoints e in
+  if covered u v then acc else e :: acc
+
+let uncovered_of_targets ~n ~targets s ~k =
+  Edge.Set.fold
+    (keep_uncovered Edge.endpoints (covers (Ugraph.of_edge_set ~n s) ~k))
+    targets []
+
+(* [Ugraph.fold_edges] visits edges in [Edge.Set] order. *)
+let uncovered_edges g s ~k =
+  Ugraph.fold_edges
+    (keep_uncovered Edge.endpoints
+       (covers (Ugraph.of_edge_set ~n:(Ugraph.n g) s) ~k))
+    g []
+
+(* [covered] holds for every edge of [g]; stops at the first miss. *)
+let covers_all g covered =
+  try
+    Ugraph.iter_edges_uv
+      (fun u v -> if not (covered u v) then raise_notrace Exit)
+      g;
+    true
+  with Exit -> false
+
+let is_2_spanner_csr g ~spanner_csr = covers_all g (covers_edge_2 ~spanner_csr)
+let is_spanner g s ~k = covers_all g (covers (Ugraph.induced_by_edges g s) ~k)
+
+let is_spanner_of_targets ~n ~targets s ~k =
+  uncovered_of_targets ~n ~targets s ~k = []
+
+let is_2_spanner_fast g s = is_spanner g s ~k:2
 
 (* Serving-path BFS: the daemon answers thousands of QUERYs per second
    against one resident spanner CSR, so the per-query cost must be the
-   traversal and nothing else. The scratch reuses stamp/parent/queue
-   arrays across queries with an epoch counter standing in for
-   clearing: a vertex is "visited this query" iff its stamp equals the
-   current epoch, so reset is one increment, not an O(n) fill. *)
-type query = {
-  mutable cap : int;
-  mutable stamp : int array;
-  mutable parent : int array;
-  mutable queue : int array;
-  mutable epoch : int;
-}
+   traversal and nothing else — the kernel's epoch-stamped scratch. *)
+type query = Traversal.scratch
 
-let query_create ?(n = 0) () =
-  {
-    cap = n;
-    stamp = Array.make (max n 1) 0;
-    parent = Array.make (max n 1) (-1);
-    queue = Array.make (max n 1) 0;
-    epoch = 0;
-  }
-
-let query_ensure q n =
-  if n > q.cap then begin
-    let cap = max n (2 * q.cap) in
-    q.stamp <- Array.make cap 0;
-    q.parent <- Array.make cap (-1);
-    q.queue <- Array.make cap 0;
-    q.cap <- cap;
-    q.epoch <- 0
-  end
+let query_create = Traversal.scratch
 
 let query_path q sg ~u ~v =
   let n = Ugraph.n sg in
@@ -126,49 +68,16 @@ let query_path q sg ~u ~v =
     invalid_arg "Spanner_check.query_path: vertex out of range";
   if u = v then Some [ u ]
   else begin
-    query_ensure q n;
-    q.epoch <- q.epoch + 1;
-    let ep = q.epoch in
-    let stamp = q.stamp and parent = q.parent and queue = q.queue in
-    stamp.(u) <- ep;
-    parent.(u) <- u;
-    queue.(0) <- u;
-    let head = ref 0 and tail = ref 1 in
-    let found = ref false in
-    while not !found && !head < !tail do
-      let x = queue.(!head) in
-      incr head;
-      (try
-         Ugraph.iter_neighbors
-           (fun y ->
-             if stamp.(y) <> ep then begin
-               stamp.(y) <- ep;
-               parent.(y) <- x;
-               if y = v then begin
-                 found := true;
-                 raise Exit
-               end;
-               queue.(!tail) <- y;
-               incr tail
-             end)
-           sg x
-       with Exit -> ())
-    done;
-    if not !found then None
-    else begin
-      let rec walk x acc =
-        if x = u then u :: acc else walk parent.(x) (x :: acc)
-      in
-      Some (walk v [])
-    end
+    ignore
+      (Traversal.search q (Traversal.ugraph sg) ~bound:max_int
+         ~stop:(fun y -> y = v) u);
+    Traversal.path q v
   end
 
 let directed_uncovered_edges g s ~k =
   let n = Dgraph.n g in
-  let adj = Traversal.directed_adjacency_of_set ~n s in
-  Dgraph.fold_edges
-    (fun (u, v) acc -> if bounded_reach adj n u v k then acc else (u, v) :: acc)
-    g []
+  let covered = within (Traversal.out_edges (Dgraph.of_edge_set ~n s)) ~k in
+  Dgraph.fold_edges (keep_uncovered Fun.id covered) g []
 
 let is_directed_spanner g s ~k =
   Edge.Directed.Set.iter
@@ -179,31 +88,28 @@ let is_directed_spanner g s ~k =
     s;
   directed_uncovered_edges g s ~k = []
 
-let stretch_generic ~n ~adj ~fold =
-  fold (fun (u, v) acc ->
-      if acc = max_int then max_int
-      else begin
-        (* Unbounded BFS in the candidate set from u, read distance of v. *)
-        let dist = Array.make n (-1) in
-        let q = Queue.create () in
-        dist.(u) <- 0;
-        Queue.add u q;
-        while not (Queue.is_empty q) do
-          let x = Queue.pop q in
-          List.iter
-            (fun y ->
-              if dist.(y) = -1 then begin
-                dist.(y) <- dist.(x) + 1;
-                Queue.add y q
-              end)
-            adj.(x)
-        done;
-        if dist.(v) = -1 then max_int else max acc dist.(v)
-      end)
-    0
-
-let stretch g s =
+let iter_stretch g s f =
   let n = Ugraph.n g in
-  let adj = Traversal.adjacency_of_set ~n s in
-  stretch_generic ~n ~adj ~fold:(fun f init ->
-      Ugraph.fold_edges (fun e acc -> f (Edge.endpoints e) acc) g init)
+  Traversal.target_distances (Traversal.scratch ~n ())
+    (Traversal.ugraph (Ugraph.of_edge_set ~n s))
+    ~targets:(fun u emit ->
+      Ugraph.iter_neighbors (fun v -> if v > u then emit v) g u)
+    f
+
+let directed_iter_stretch g s f =
+  let n = Dgraph.n g in
+  Traversal.target_distances (Traversal.scratch ~n ())
+    (Traversal.out_edges (Dgraph.of_edge_set ~n s))
+    ~targets:(fun u emit -> Dgraph.iter_out_neighbors emit g u)
+    f
+
+(* Stops at the first unspanned edge: its search has already walked
+   a whole component. *)
+let stretch g s =
+  let worst = ref 0 in
+  (try
+     iter_stretch g s (fun d ->
+         worst := max !worst d;
+         if d = max_int then raise_notrace Exit)
+   with Exit -> ());
+  !worst

@@ -53,51 +53,13 @@ let acc_finish a ~edges ~graph_edges =
   }
 
 let compute g s =
-  let n = Ugraph.n g in
-  let adj = Traversal.adjacency_of_set ~n s in
   let a = acc_create () in
-  Ugraph.iter_edges_uv
-    (fun u v ->
-      let dist = Array.make n (-1) in
-      let q = Queue.create () in
-      dist.(u) <- 0;
-      Queue.add u q;
-      while not (Queue.is_empty q) do
-        let x = Queue.pop q in
-        List.iter
-          (fun y ->
-            if dist.(y) = -1 then begin
-              dist.(y) <- dist.(x) + 1;
-              Queue.add y q
-            end)
-          adj.(x)
-      done;
-      acc_add a (if dist.(v) = -1 then max_int else dist.(v)))
-    g;
+  Spanner_check.iter_stretch g s (acc_add a);
   acc_finish a ~edges:(Edge.Set.cardinal s) ~graph_edges:(Ugraph.m g)
 
 let directed_compute g s =
-  let n = Dgraph.n g in
-  let adj = Traversal.directed_adjacency_of_set ~n s in
   let a = acc_create () in
-  Dgraph.iter_edges_uv
-    (fun u v ->
-      let dist = Array.make n (-1) in
-      let q = Queue.create () in
-      dist.(u) <- 0;
-      Queue.add u q;
-      while not (Queue.is_empty q) do
-        let x = Queue.pop q in
-        List.iter
-          (fun y ->
-            if dist.(y) = -1 then begin
-              dist.(y) <- dist.(x) + 1;
-              Queue.add y q
-            end)
-          adj.(x)
-      done;
-      acc_add a (if dist.(v) = -1 then max_int else dist.(v)))
-    g;
+  Spanner_check.directed_iter_stretch g s (acc_add a);
   acc_finish a
     ~edges:(Edge.Directed.Set.cardinal s)
     ~graph_edges:(Dgraph.m g)

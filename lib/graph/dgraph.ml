@@ -178,6 +178,14 @@ let row_array ptr col u =
   Array.init (hi - lo) (fun i -> Bigarray.Array1.unsafe_get col (lo + i))
 
 let out_neighbors g u = row_array g.out_ptr g.out_col u
+
+let iter_out_neighbors f g u =
+  let lo = Bigarray.Array1.get g.out_ptr u
+  and hi = Bigarray.Array1.get g.out_ptr (u + 1) in
+  for i = lo to hi - 1 do
+    f (Bigarray.Array1.unsafe_get g.out_col i)
+  done
+
 let undirected_neighbors g u = row_array g.und_ptr g.und_col u
 
 let mem_edge g u v =

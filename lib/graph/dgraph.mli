@@ -28,6 +28,12 @@ val in_degree : t -> int -> int
 
 val out_neighbors : t -> int -> int array
 
+val iter_out_neighbors : (int -> unit) -> t -> int -> unit
+(** [iter_out_neighbors f g u] applies [f] to each out-neighbor of [u]
+    in ascending order, straight off the CSR row — the allocation-free
+    counterpart of {!out_neighbors}, mirroring
+    {!Ugraph.iter_neighbors}. *)
+
 val undirected_neighbors : t -> int -> int array
 (** Sorted, deduplicated union of in- and out-neighbors. Like
     {!out_neighbors}, this copies the CSR row into a fresh array. *)

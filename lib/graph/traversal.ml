@@ -107,51 +107,105 @@ let girth g =
   done;
   !best
 
-let adjacency_of_set ~n set =
-  let adj = Array.make n [] in
-  Edge.Set.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      adj.(u) <- v :: adj.(u);
-      adj.(v) <- u :: adj.(v))
-    set;
-  adj
+type walk = { n : int; neighbors : int -> (int -> unit) -> unit }
 
-let bounded_bfs ~adj ~n u v ~bound =
-  if u = v then 0
-  else begin
-    let dist = Array.make n max_int in
-    let q = Queue.create () in
-    dist.(u) <- 0;
-    Queue.add u q;
-    let answer = ref max_int in
-    (try
-       while not (Queue.is_empty q) do
-         let x = Queue.pop q in
-         if dist.(x) < bound then
-           List.iter
-             (fun y ->
-               if dist.(y) = max_int then begin
-                 dist.(y) <- dist.(x) + 1;
-                 if y = v then begin
-                   answer := dist.(y);
-                   raise Exit
-                 end;
-                 Queue.add y q
-               end)
-             adj.(x)
-       done
-     with Exit -> ());
-    !answer
+let ugraph g =
+  { n = Ugraph.n g; neighbors = (fun x f -> Ugraph.iter_neighbors f g x) }
+
+let out_edges g =
+  { n = Dgraph.n g; neighbors = (fun x f -> Dgraph.iter_out_neighbors f g x) }
+
+(* The bounded-BFS kernel. Its scratch reuses stamp/depth/parent/queue
+   arrays across searches with an epoch counter standing in for
+   clearing: a vertex is "reached by the current search" iff its stamp
+   equals the epoch, so a reset is one increment, not an O(n) fill. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable depth : int array;
+  mutable parent : int array;
+  mutable queue : int array;
+  mutable epoch : int;
+  mutable src : int;
+}
+
+let ensure sc n =
+  if n > Array.length sc.stamp then begin
+    let cap = max n (2 * Array.length sc.stamp) in
+    sc.stamp <- Array.make cap 0;
+    sc.depth <- Array.make cap 0;
+    sc.parent <- Array.make cap 0;
+    sc.queue <- Array.make cap 0;
+    sc.epoch <- 0
   end
 
-let set_distance_within ~n set u v ~bound =
-  bounded_bfs ~adj:(adjacency_of_set ~n set) ~n u v ~bound
+let scratch ?(n = 0) () =
+  let sc =
+    { stamp = [||]; depth = [||]; parent = [||]; queue = [||]; epoch = 0;
+      src = -1 }
+  in
+  ensure sc n;
+  sc
 
-let directed_adjacency_of_set ~n set =
-  let adj = Array.make n [] in
-  Edge.Directed.Set.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) set;
-  adj
+exception Stop
 
-let directed_set_distance_within ~n set u v ~bound =
-  bounded_bfs ~adj:(directed_adjacency_of_set ~n set) ~n u v ~bound
+let search sc w ~bound ~stop src =
+  ensure sc w.n;
+  sc.epoch <- sc.epoch + 1;
+  sc.src <- src;
+  let ep = sc.epoch in
+  let stamp = sc.stamp and depth = sc.depth and parent = sc.parent
+  and queue = sc.queue in
+  stamp.(src) <- ep;
+  depth.(src) <- 0;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 and x = ref src in
+  let visit y =
+    if stamp.(y) <> ep then begin
+      stamp.(y) <- ep;
+      depth.(y) <- depth.(!x) + 1;
+      parent.(y) <- !x;
+      queue.(!tail) <- y;
+      incr tail;
+      if stop y then raise_notrace Stop
+    end
+  in
+  (* The queue is in depth order, so the first vertex at the bound
+     ends the search. *)
+  try
+    while !head < !tail && depth.(queue.(!head)) < bound do
+      x := queue.(!head);
+      incr head;
+      w.neighbors !x visit
+    done;
+    false
+  with Stop -> true
+
+let depth sc v =
+  if sc.epoch > 0 && sc.stamp.(v) = sc.epoch then sc.depth.(v) else max_int
+
+let path sc v =
+  let rec walk x acc =
+    if x = sc.src then x :: acc else walk sc.parent.(x) (x :: acc)
+  in
+  if depth sc v = max_int then None else Some (walk v [])
+
+let distance_within sc w ~bound u v =
+  if u = v then 0
+  else if search sc w ~bound ~stop:(fun y -> y = v) u then depth sc v
+  else max_int
+
+let target_distances sc w ~targets f =
+  let goal = Array.make w.n (-1) in
+  for u = 0 to w.n - 1 do
+    let left = ref 0 in
+    targets u (fun v ->
+        goal.(v) <- u;
+        incr left);
+    if !left > 0 then begin
+      ignore
+        (search sc w ~bound:max_int
+           ~stop:(fun y -> goal.(y) = u && (decr left; !left = 0))
+           u);
+      targets u (fun v -> f (depth sc v))
+    end
+  done

@@ -108,28 +108,31 @@ let oracle_spanner t = Dset.union (non_d_edges t) (forced_d_edges t)
 
 let check_claim_2_2 t ~i ~r =
   let nn = n t in
-  let without_d = non_d_edges t in
-  (* materialized once, not once per (j, s) probe *)
-  let full = Dgraph.edge_set t.graph in
+  let sc = Traversal.scratch ~n:nn () in
+  (* built once, not once per (j, s) probe *)
+  let without_d =
+    Traversal.out_edges (Dgraph.of_edge_set ~n:nn (non_d_edges t))
+  in
   let ok = ref true in
   for j = 0 to t.beta - 1 do
     for s = 0 to t.beta - 1 do
       let src = x2v t i j and dst = y2v t r s in
       if block_open t i r then begin
-        let d =
-          Traversal.directed_set_distance_within ~n:nn without_d src dst
-            ~bound:5
-        in
-        if d > 5 then ok := false
+        if Traversal.distance_within sc without_d ~bound:5 src dst > 5 then
+          ok := false
       end
       else begin
         (* No path at all once the direct D-edge is removed. *)
-        let all_but = Dset.remove (src, dst) full in
-        let d =
-          Traversal.directed_set_distance_within ~n:nn all_but src dst
-            ~bound:nn
+        let all_but =
+          { Traversal.n = nn;
+            neighbors =
+              (fun x f ->
+                Dgraph.iter_out_neighbors
+                  (fun y -> if x <> src || y <> dst then f y)
+                  t.graph x) }
         in
-        if d <> max_int then ok := false
+        if Traversal.distance_within sc all_but ~bound:nn src dst <> max_int
+        then ok := false
       end
     done
   done;

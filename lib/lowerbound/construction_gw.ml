@@ -73,12 +73,13 @@ let has_zero_cost_spanner t ~k =
 
 let min_d_edges_needed t =
   let nn = n t in
-  let zero = zero_weight_edges t in
+  let zero =
+    Traversal.out_edges (Dgraph.of_edge_set ~n:nn (zero_weight_edges t))
+  in
+  let sc = Traversal.scratch ~n:nn () in
   Dset.fold
     (fun (u, v) acc ->
-      let d =
-        Traversal.directed_set_distance_within ~n:nn zero u v ~bound:nn
-      in
+      let d = Traversal.distance_within sc zero ~bound:nn u v in
       if d = max_int then acc + 1 else acc)
     t.d_edges 0
 

@@ -4,6 +4,8 @@
 #   - the unit/integration/property suites (includes the GC-regression
 #     allocation guards, also run below by name so a suite filter can't
 #     silently drop them)
+#   - the six examples/*.exe programs, whose own asserts check what
+#     they build
 #   - a bench smoke run exercising the --json perf-trajectory and
 #     --trace event-stream paths; the emitted JSON must carry the
 #     spanner-bench/10 "faults", "csr" and "frugal" rows (the frugal row's physical message
@@ -68,6 +70,16 @@ dune exec test/test_csr.exe -- test gc > /dev/null
 # The LOCAL density phase's GC guard (one clique-ladder bootstrap under
 # a fixed minor-words ceiling), explicitly.
 dune exec test/test_local_protocol.exe -- test gc > /dev/null
+# The checker kernel's GC guard (is_spanner ~k:3, stretch and
+# Spanner_stats.compute on a 3000-vertex spanner under a fixed words
+# ceiling), explicitly.
+dune exec test/test_checker.exe -- test gc > /dev/null
+# The examples assert their own results valid (quickstart also prints
+# Spanner_stats), so run them rather than only building them.
+for ex in quickstart synchronizer client_server_design lower_bound_demo \
+  mds_congest network_upgrade; do
+  dune exec "examples/$ex.exe" > /dev/null
+done
 
 # e1's anchors make thousands of flow-path densest-star calls, so
 # gating their engine metrics pins that oracle's answers.

@@ -179,17 +179,31 @@ let test_ball () =
     (Traversal.ball g 2 1)
 
 let test_set_distance_bounded () =
-  let s = Edge.Set.of_list [ Edge.make 0 1; Edge.make 1 2; Edge.make 2 3 ] in
-  check_int "within bound" 3 (Traversal.set_distance_within ~n:4 s 0 3 ~bound:3);
+  let sg = Ugraph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let sc = Traversal.scratch () and w = Traversal.ugraph sg in
+  check_int "within bound" 3
+    (Traversal.distance_within sc w ~bound:3 0 3);
   check_int "over bound" max_int
-    (Traversal.set_distance_within ~n:4 s 0 3 ~bound:2)
+    (Traversal.distance_within sc w ~bound:2 0 3);
+  (* The scratch is reused: the previous search leaves no stamps. *)
+  check_int "again within bound" 3
+    (Traversal.distance_within sc w ~bound:3 0 3);
+  check_int "bound 1 is adjacency" max_int
+    (Traversal.distance_within sc w ~bound:1 0 2);
+  check_int "depth of an unreached vertex" max_int (Traversal.depth sc 3);
+  check_int "same vertex" 0
+    (Traversal.distance_within sc w ~bound:0 2 2)
 
 let test_directed_distance () =
-  let s = Edge.Directed.Set.of_list [ (0, 1); (1, 2) ] in
+  let dg = Dgraph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let sc = Traversal.scratch () and w = Traversal.out_edges dg in
   check_int "forward" 2
-    (Traversal.directed_set_distance_within ~n:3 s 0 2 ~bound:5);
+    (Traversal.distance_within sc w ~bound:5 0 2);
   check_int "no backward" max_int
-    (Traversal.directed_set_distance_within ~n:3 s 2 0 ~bound:5)
+    (Traversal.distance_within sc w ~bound:5 2 0);
+  check "path" true (Traversal.path sc 0 = None);
+  ignore (Traversal.distance_within sc w ~bound:5 0 2);
+  check "path" true (Traversal.path sc 2 = Some [ 0; 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Power *)

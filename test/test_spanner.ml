@@ -395,10 +395,12 @@ let prop_ratio_within_bound_vs_exact =
    agree with a from-scratch recomputation after arbitrary random
    addition sequences. *)
 
+let covers_edge ~n spanner e =
+  C.Spanner_check.is_spanner_of_targets ~n ~targets:(Edge.Set.singleton e)
+    spanner ~k:2
+
 let naive_uncovered ~n ~targets spanner =
-  Edge.Set.filter
-    (fun e -> not (C.Spanner_check.covers_edge ~n spanner ~k:2 e))
-    targets
+  Edge.Set.filter (fun e -> not (covers_edge ~n spanner e)) targets
 
 let naive_hv ~n ~targets ~usable spanner v =
   let nbrs =
@@ -411,7 +413,7 @@ let naive_hv ~n ~targets ~usable spanner v =
     (fun e ->
       let u, w = Edge.endpoints e in
       List.mem u nbrs && List.mem w nbrs
-      && not (C.Spanner_check.covers_edge ~n spanner ~k:2 e))
+      && not (covers_edge ~n spanner e))
     targets
 
 let prop_cover2_matches_naive =

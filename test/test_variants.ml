@@ -231,7 +231,8 @@ let test_cs_uncoverable_reported_correctly () =
     (fun e ->
       check "not in servers" false (Edge.Set.mem e servers);
       check "no server 2-path" false
-        (C.Spanner_check.covers_edge ~n:(Ugraph.n g) servers ~k:2 e))
+        (C.Spanner_check.is_spanner_of_targets ~n:(Ugraph.n g)
+           ~targets:(Edge.Set.singleton e) servers ~k:2))
     r.uncoverable
 
 let test_cs_all_edges_both_reduces_to_plain () =
