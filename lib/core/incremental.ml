@@ -34,9 +34,9 @@ open Grapho
    S is held as its own CSR, never as an edge set: S' is S with the
    delta's deletions that were spanner edges applied through
    [Ugraph.apply_delta], and S'' is S' with R \ S' inserted the same
-   way, each through one reused builder and delta. Both steps keep
-   S ⊆ g' by construction, so [valid] is one probe per graph edge
-   against the held CSR. *)
+   way, each a row merge through one reused delta, as is the graph's
+   own update. Both steps keep S ⊆ g' by construction, so [valid] is
+   one probe per graph edge against the held CSR. *)
 
 type tick_stats = {
   tick : int;
@@ -56,8 +56,6 @@ type t = {
   mutable graph : Ugraph.t;
   mutable spanner : Ugraph.t;
   mutable tick : int;
-  builder : Ugraph.Builder.builder;
-  sbuilder : Ugraph.Builder.builder;  (* the spanner's rebuilds *)
   sdelta : Ugraph.Delta.t;  (* the spanner's share of a tick *)
   mark : Bytes.t;  (* bit 0: seed this tick, bit 1: in the dirty ball *)
   seed_buf : Bigcsr.buf;
@@ -71,10 +69,6 @@ let create ?(seed = 0x2D5F1) ~spanner g =
     graph = g;
     spanner;
     tick = 0;
-    builder = Ugraph.Builder.create ~expected_edges:(Ugraph.m g)
-        ~n:(Ugraph.n g) ();
-    sbuilder = Ugraph.Builder.create ~expected_edges:(Ugraph.m spanner)
-        ~n:(Ugraph.n g) ();
     sdelta = Ugraph.Delta.create ();
     mark = Bytes.make (Ugraph.n g) '\000';
     seed_buf = Bigcsr.buf_create 64;
@@ -91,12 +85,11 @@ let spanner_csr t = t.spanner
 let tick t = t.tick
 let valid t = Spanner_check.is_2_spanner_csr t.graph ~spanner_csr:t.spanner
 
-(* Applies the spanner's share of a tick, queued in [t.sdelta], through
-   the spanner's own builder; a share that changes nothing costs
-   nothing. *)
+(* Applies the spanner's share of a tick, queued in [t.sdelta]; a share
+   that changes nothing costs nothing. *)
 let update_spanner t s =
   if Ugraph.Delta.deletes t.sdelta + Ugraph.Delta.inserts t.sdelta = 0 then s
-  else Ugraph.apply_delta ~builder:t.sbuilder s t.sdelta
+  else Ugraph.apply_delta s t.sdelta
 
 (* Repair seeds drift per tick so consecutive dirty-ball runs do not
    reuse vote streams; same SplitMix-style decorrelation as
@@ -109,7 +102,7 @@ let apply ?sched ?par ?adversary ?retry ?trace t d =
   let deleted = Ugraph.Delta.deletes d
   and inserted = Ugraph.Delta.inserts d in
   (* A rejected delta raises here, before any state mutates. *)
-  let g' = Ugraph.apply_delta ~builder:t.builder t.graph d in
+  let g' = Ugraph.apply_delta t.graph d in
   Ugraph.Delta.reset t.sdelta;
   Ugraph.Delta.iter_deletes
     (fun u v ->

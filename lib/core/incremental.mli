@@ -6,10 +6,10 @@
     the whole graph:
 
     + the delta is applied to the graph ({!Grapho.Ugraph.apply_delta},
-      through a reused streaming builder), and its deletions that
-      were spanner edges to the spanner, which is held as its own
-      CSR (the same call, through a second builder and a reused
-      {!Grapho.Ugraph.Delta});
+      a row merge that copies untouched rows and merges changed
+      ones), and its deletions that were spanner edges to the
+      spanner, which is held as its own CSR (the same call, with a
+      reused {!Grapho.Ugraph.Delta});
     + a certificate sweep probes every surviving-graph edge incident
       to an update endpoint against that spanner CSR
       ({!Spanner_check.covers_edge_2}). A locality lemma (proved in
@@ -30,13 +30,16 @@
     [(seed, initial graph, delta sequence)] — bit-identical across
     engine schedulers and [par] values, like the protocol itself.
 
-    Only the certificate sweep and the ball re-run scale with the
-    churn footprint (seed degrees plus dirty-ball size). The graph's
-    delta application, the spanner's (at most two per tick, skipped
-    when the tick leaves the spanner unchanged) and {!valid} are
-    whole-graph passes, so per-tick cost still grows with [n] and
-    [m]; on perfbench's [serve_mixed] workload (caveman, n = 30 000)
-    the ball re-run is about a tenth of a tick.
+    The certificate sweep and the ball re-run scale with the churn
+    footprint (seed degrees plus dirty-ball size). The graph's delta
+    application and the spanner's (at most two per tick, skipped when
+    the tick leaves the spanner unchanged) are row merges: they
+    sort only the delta, but still copy the untouched rows, so they
+    are linear passes over [n + m] with a small constant. {!valid}
+    probes every graph edge. Per-tick cost therefore still grows with
+    [n] and [m]; on perfbench's [serve_mixed] workload (caveman,
+    n = 30 000) {!valid} is the largest whole-graph stage, larger than
+    the graph's delta application and the ball re-run together.
     [spanner_cli churn --recompute] prints the per-tick repair time
     next to a full recompute; perfbench [serve_mixed] times the tick
     stage by stage. *)
@@ -46,8 +49,7 @@ open Grapho
 type t
 (** Mutable repair state: current graph, current spanner (a CSR
     subgraph of it), tick counter, plus reused off-heap workspaces
-    (the graph's and the spanner's delta-application builders, the
-    spanner's delta, mark bytes, seed/dirty vertex buffers) so
+    (the spanner's delta, mark bytes, seed/dirty vertex buffers) so
     steady-state ticks do not grow the heap. *)
 
 type tick_stats = {

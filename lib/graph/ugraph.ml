@@ -39,7 +39,7 @@ module Builder = struct
     }
 
   (* Rewind for another build: the grown endpoint buffers stay, so a
-     churn loop that rebuilds a graph every tick allocates off-heap
+     loop that builds through the same builder allocates off-heap
      storage only until the buffers reach steady-state capacity. *)
   let reset b ~n =
     if n < 0 then invalid_arg "Ugraph.Builder.reset: negative n";
@@ -129,15 +129,17 @@ end
 module Delta = struct
   (* A batched edge update: canonicalized (u < v) endpoint pairs in
      four off-heap buffers plus two reusable key workspaces for
-     [apply_delta]'s sorted-merge. The record is a mutable
-     accumulator; [reset] rewinds it for the next tick without
-     touching the allocator, mirroring [Builder.reset]. *)
+     [apply_delta]'s validation, the first of which then holds its
+     change list. The record is a mutable accumulator; [reset] rewinds
+     it for the next tick without touching the allocator, mirroring
+     [Builder.reset]. *)
   type t = {
     ins_u : Bigcsr.buf;
     ins_v : Bigcsr.buf;
     del_u : Bigcsr.buf;
     del_v : Bigcsr.buf;
-    dkeys : Bigcsr.buf;  (* scratch: sorted packed delete keys *)
+    dkeys : Bigcsr.buf;
+        (* scratch: sorted packed delete keys, then the change list *)
     ikeys : Bigcsr.buf;  (* scratch: sorted packed insert keys *)
   }
 
@@ -208,16 +210,6 @@ let delta_sorted_keys ~what ~n us vs (dst : Bigcsr.buf) =
         (Printf.sprintf "Ugraph.apply_delta: duplicate %s (%d, %d)" what
            (key / n) (key mod n))
   done
-
-let sorted_keys_mem (b : Bigcsr.buf) key =
-  let lo = ref 0 and hi = ref b.Bigcsr.len in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k = Bigarray.Array1.unsafe_get b.Bigcsr.data mid in
-    if k = key then found := true else if k < key then lo := mid + 1 else hi := mid
-  done;
-  !found
 
 let of_edge_iter ?expected_edges ~n iter =
   let b = Builder.create ?expected_edges ~n () in
@@ -439,15 +431,41 @@ let fold_vertices f g init =
   done;
   !acc
 
-(* Merge-rebuild: stream every surviving edge of [g] plus the inserts
-   through the Builder. The cost is one full build — O(n + m) — which
-   sounds heavy next to pointer-surgery dynamic adjacency, but the CSR
-   build is a linear scatter over off-heap buffers (~1 s at n = 10^6),
-   the result keeps every O(1)/O(log deg) access guarantee the
-   algorithms rely on, and with [?builder] (a [Builder.reset] reuse
-   path) plus the Delta's own scratch, a churn tick allocates nothing
-   beyond the result graph itself. *)
-let apply_delta ?builder g (d : Delta.t) =
+(* Appends both directions of every pair in [us]/[vs] to [dst] as
+   [((u * n + v) * 2 + flag)]. *)
+let push_changes (dst : Bigcsr.buf) ~n flag (us : Bigcsr.buf)
+    (vs : Bigcsr.buf) =
+  for i = 0 to us.Bigcsr.len - 1 do
+    let u = Bigarray.Array1.unsafe_get us.Bigcsr.data i
+    and v = Bigarray.Array1.unsafe_get vs.Bigcsr.data i in
+    Bigcsr.buf_push dst ((((u * n) + v) * 2) + flag);
+    Bigcsr.buf_push dst ((((v * n) + u) * 2) + flag)
+  done
+
+(* Copies [g]'s untouched rows [lo, hi) into [rp']/[col'] from column
+   offset [w], shifting their [row_ptr] entries; returns the offset
+   after them. *)
+let copy_rows g (rp' : Bigcsr.ba) (col' : Bigcsr.ba) lo hi w =
+  let src = Bigarray.Array1.unsafe_get g.row_ptr lo in
+  let shift = w - src in
+  for x = lo to hi - 1 do
+    Bigarray.Array1.unsafe_set rp' x
+      (Bigarray.Array1.unsafe_get g.row_ptr x + shift)
+  done;
+  let stop = Bigarray.Array1.unsafe_get g.row_ptr hi in
+  for s = src to stop - 1 do
+    Bigarray.Array1.unsafe_set col' (s + shift)
+      (Bigarray.Array1.unsafe_get g.col s)
+  done;
+  stop + shift
+
+(* Row merge. Every check runs first, so a rejected delta raises
+   before anything is written. The delta's directed changes are packed
+   as [((u * n + v) * 2 + is_insert)] and sorted, so each touched row
+   u sees its changes as one ascending run of neighbours; the merge
+   below relies on the checks (a delete is in its row, an insert is
+   not). [?builder] is ignored (see the .mli). *)
+let apply_delta ?builder:_ g (d : Delta.t) =
   let n = g.n in
   (* Sorted key workspaces double as the validation pass: duplicate
      inserts and duplicate deletes raise there. *)
@@ -484,22 +502,51 @@ let apply_delta ?builder g (d : Delta.t) =
           (Printf.sprintf
              "Ugraph.apply_delta: inserted edge (%d, %d) already present" u v))
     d;
-  let b =
-    match builder with
-    | Some b ->
-        Builder.reset b ~n;
-        b
-    | None ->
-        Builder.create
-          ~expected_edges:(g.m - Delta.deletes d + Delta.inserts d)
-          ~n ()
-  in
-  iter_edges_uv
-    (fun u v ->
-      if not (sorted_keys_mem dk ((u * n) + v)) then Builder.add_edge b u v)
-    g;
-  Delta.iter_inserts (fun u v -> Builder.add_edge b u v) d;
-  Builder.finish b
+  (* The delete keys are no longer needed: their workspace takes the
+     change list. *)
+  let changes = d.Delta.dkeys in
+  Bigcsr.buf_reset changes;
+  push_changes changes ~n 0 d.Delta.del_u d.Delta.del_v;
+  push_changes changes ~n 1 d.Delta.ins_u d.Delta.ins_v;
+  let nc = changes.Bigcsr.len and cd = changes.Bigcsr.data in
+  Bigcsr.sort_range cd 0 nc;
+  let m' = g.m - Delta.deletes d + Delta.inserts d in
+  let rp = g.row_ptr and col = g.col in
+  let rp' = Bigcsr.create (n + 1) and col' = Bigcsr.create (2 * m') in
+  let w = ref 0 and next_row = ref 0 and c = ref 0 in
+  while !c < nc do
+    let u = (Bigarray.Array1.unsafe_get cd !c lsr 1) / n in
+    w := copy_rows g rp' col' !next_row u !w;
+    Bigarray.Array1.unsafe_set rp' u !w;
+    let s = ref (Bigarray.Array1.unsafe_get rp u)
+    and hi = Bigarray.Array1.unsafe_get rp (u + 1) in
+    let row_end = (u + 1) * n * 2 in
+    while !c < nc && Bigarray.Array1.unsafe_get cd !c < row_end do
+      let key = Bigarray.Array1.unsafe_get cd !c in
+      let v = (key lsr 1) mod n in
+      while !s < hi && Bigarray.Array1.unsafe_get col !s < v do
+        Bigarray.Array1.unsafe_set col' !w (Bigarray.Array1.unsafe_get col !s);
+        incr w;
+        incr s
+      done;
+      (* validated: an insert is absent from the row, a delete is the
+         entry at [!s] *)
+      if key land 1 = 1 then begin
+        Bigarray.Array1.unsafe_set col' !w v;
+        incr w
+      end
+      else incr s;
+      incr c
+    done;
+    for x = !s to hi - 1 do
+      Bigarray.Array1.unsafe_set col' !w (Bigarray.Array1.unsafe_get col x);
+      incr w
+    done;
+    next_row := u + 1
+  done;
+  w := copy_rows g rp' col' !next_row n !w;
+  Bigarray.Array1.unsafe_set rp' n !w;
+  { n; m = m'; row_ptr = rp'; col = col' }
 
 let induced_by_edges g s =
   Edge.Set.iter

@@ -9,9 +9,10 @@
     list, an edge set, or a streaming emitter — and never mutated. A
     graph that changes (churned graphs, and the spanner maintained
     under churn, which is kept as a CSR subgraph) is replaced by a
-    fresh one through {!apply_delta}; algorithms that grow an edge set
-    from scratch (the protocols' spanner outputs) build an
-    {!Edge.Set}. *)
+    fresh one through {!apply_delta}, a row merge that copies the
+    untouched rows and merges only the changed ones; algorithms that
+    grow an edge set from scratch (the protocols' spanner outputs)
+    build an {!Edge.Set}. *)
 
 type t
 
@@ -40,11 +41,9 @@ module Builder : sig
 
   val reset : builder -> n:int -> unit
   (** Rewinds a (possibly finished) builder for another build over
-      vertex set [0..n-1], keeping the grown endpoint buffers. A
-      churn loop that rebuilds a graph every tick through the same
-      builder allocates off-heap storage only until the buffers reach
-      steady-state capacity; {!apply_delta}'s [?builder] argument is
-      the intended consumer. *)
+      vertex set [0..n-1], keeping the grown endpoint buffers, so a
+      loop that builds through the same builder allocates off-heap
+      storage only until the buffers reach steady-state capacity. *)
 end
 
 module Delta : sig
@@ -88,10 +87,21 @@ val apply_delta : ?builder:Builder.builder -> t -> Delta.t -> t
     absent from [g], any inserted edge is already present, an edge is
     queued twice on the same side or on both sides, or an endpoint is
     outside [g]'s vertex range — a rejected delta leaves no partial
-    state. Implemented as a merge-rebuild through the streaming
-    {!Builder}: O(n + m + |d| log |d|) time, and with [?builder]
-    (reused via {!Builder.reset}) no off-heap reallocation beyond the
-    result graph's own buffers. *)
+    state: every check runs before anything is written.
+
+    Implemented as a row merge: the delta's directed changes are
+    sorted per row, untouched rows are copied with a shifted
+    [row_ptr], and each touched row is merged from its old sorted row
+    and its sorted inserts, skipping its deletes. O(n + m + |d| log
+    |d|) time, no per-row sort. The change list lives in the delta's
+    own key workspace, so off-heap allocation is the result's
+    exact-size buffers plus any growth of that workspace. On the OCaml
+    heap a call allocates a few words (the result record, buffer
+    headers, the validation closures) and nothing per row or edge.
+
+    [?builder] is ignored and the builder passed is not touched; the
+    argument is kept so that callers which pass a reusable builder
+    still compile. *)
 
 val of_edge_iter : ?expected_edges:int -> n:int -> ((int -> int -> unit) -> unit) -> t
 (** [of_edge_iter ~n iter] builds a graph by running [iter emit],

@@ -14,7 +14,10 @@
 #   - a CSR scale smoke: the e18 anchor (10^4-vertex gnp) must stream-
 #     build, BFS and flood inside a hard time budget, and the CSR
 #     builder's GC guard (10^5 vertices under a minor-words ceiling)
-#     is run by name so a suite filter can't drop it
+#     is run by name so a suite filter can't drop it, and so is the
+#     row-merge Ugraph.apply_delta property (random graphs x valid
+#     delta streams against a from-scratch rebuild, plus rejected
+#     deltas' exact messages)
 #   - a tiny spanner_cli trace run (its exit status asserts that the
 #     per-round series reconciles with the engine metrics), run both
 #     sequentially and with --par 2: the two reports must be
@@ -67,6 +70,8 @@ dune exec test/test_engine_sched.exe -- test allocation > /dev/null
 # The CSR builder's GC guard (10^5 vertices, fixed minor-words
 # ceiling), explicitly.
 dune exec test/test_csr.exe -- test gc > /dev/null
+# The row-merge apply_delta property, explicitly.
+dune exec test/test_csr.exe -- test merge > /dev/null
 # The LOCAL density phase's GC guard (one clique-ladder bootstrap under
 # a fixed minor-words ceiling), explicitly.
 dune exec test/test_local_protocol.exe -- test gc > /dev/null

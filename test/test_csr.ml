@@ -448,6 +448,289 @@ let test_churn_gc_guard () =
     (Printf.sprintf "churn minor words %.0f under ceiling" spent)
     true (spent < 50_000.0)
 
+(* ------------------------------------------------------------------ *)
+(* Row-merge property: [apply_delta] over random graphs and random valid
+   delta streams equals a from-scratch build of the expected edge set,
+   and every read API agrees with a list model of it — called with and
+   without a [?builder] (one reused across the stream, which
+   [apply_delta] ignores and must leave usable). The graphs include
+   n = 1, isolated vertices and a star hub; the streams include empty
+   deltas, whole-row deletions, inserts into empty rows and changes at
+   vertices 0 and n - 1. Interleaved rejected deltas
+   (one injected fault each) must raise the exact message and leave
+   the graph and the builder usable. Every size is drawn from the
+   seed, so a reported counterexample is a seed that replays it. *)
+
+let random_edges rng n =
+  let edges = ref Edge.Set.empty in
+  let add u v =
+    if u <> v then edges := Edge.Set.add (Edge.make u v) !edges
+  in
+  (match Rng.int rng 4 with
+  | 0 ->
+      let p = Rng.float rng 0.6 in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Rng.float rng 1.0 < p then add u v
+        done
+      done
+  | 1 ->
+      (* a star hub, plus a few stray edges *)
+      let hub = [| 0; n - 1; Rng.int rng n |].(Rng.int rng 3) in
+      for v = 0 to n - 1 do
+        add hub v
+      done;
+      for _ = 1 to Rng.int rng 4 do
+        add (Rng.int rng n) (Rng.int rng n)
+      done
+  | 2 ->
+      (* sparse: most vertices isolated *)
+      for _ = 1 to Rng.int rng (1 + (n / 3)) do
+        add (Rng.int rng n) (Rng.int rng n)
+      done
+  | _ -> ());
+  !edges
+
+let all_pairs n =
+  List.concat
+    (List.init n (fun u ->
+         List.init (n - u - 1) (fun i -> Edge.make u (u + 1 + i))))
+
+(* One valid delta against [e]: returns (deletes, inserts). *)
+let random_delta rng n e =
+  let absent () =
+    List.filter (fun x -> not (Edge.Set.mem x e)) (all_pairs n)
+  in
+  let pick l k =
+    let a = Array.of_list l in
+    Rng.shuffle rng a;
+    Array.to_list (Array.sub a 0 (min k (Array.length a)))
+  in
+  let at_ends x =
+    let u, v = Edge.endpoints x in
+    u = 0 || v = n - 1
+  in
+  match Rng.int rng 5 with
+  | 0 -> ([], [])
+  | 1 ->
+      (* delete a whole row, maybe re-wire it elsewhere *)
+      let r = [| 0; n - 1; Rng.int rng n |].(Rng.int rng 3) in
+      let row =
+        Edge.Set.elements
+          (Edge.Set.filter
+             (fun x ->
+               let u, v = Edge.endpoints x in
+               u = r || v = r)
+             e)
+      in
+      let ins =
+        pick
+          (List.filter
+             (fun x ->
+               let u, v = Edge.endpoints x in
+               u <> r && v <> r)
+             (absent ()))
+          (Rng.int rng 3)
+      in
+      (row, ins)
+  | 2 ->
+      (* inserts into empty rows *)
+      let empty_row u =
+        not
+          (Edge.Set.exists
+             (fun x ->
+               let a, b = Edge.endpoints x in
+               a = u || b = u)
+             e)
+      in
+      let ins =
+        List.filter
+          (fun x ->
+            let u, v = Edge.endpoints x in
+            empty_row u || empty_row v)
+          (absent ())
+      in
+      ([], pick ins (1 + Rng.int rng 4))
+  | 3 ->
+      (* changes at vertices 0 and n - 1 *)
+      ( pick (List.filter at_ends (Edge.Set.elements e)) (Rng.int rng 4),
+        pick (List.filter at_ends (absent ())) (Rng.int rng 4) )
+  | _ ->
+      ( pick (Edge.Set.elements e) (Rng.int rng 6),
+        pick (absent ()) (Rng.int rng 6) )
+
+let mk_delta_of ~dels ~ins =
+  let d = Ugraph.Delta.create ~expected:1 () in
+  (* queue order and orientation are arbitrary; the merge must not care *)
+  List.iter
+    (fun x ->
+      let u, v = Edge.endpoints x in
+      Ugraph.Delta.add_delete d v u)
+    dels;
+  List.iter
+    (fun x ->
+      let u, v = Edge.endpoints x in
+      Ugraph.Delta.add_insert d u v)
+    ins;
+  d
+
+(* One valid delta plus one injected fault, drawn among the faults this
+   delta admits (out-of-range always does), and the exact message the
+   fault must raise. *)
+let faulty_delta rng n e ~dels ~ins =
+  let msg = Printf.sprintf in
+  let uv x = Edge.endpoints x in
+  let present =
+    List.filter (fun x -> not (List.mem x dels)) (Edge.Set.elements e)
+  and absent =
+    List.filter
+      (fun x -> not (Edge.Set.mem x e || List.mem x ins))
+      (all_pairs n)
+  in
+  let faults =
+    List.concat
+      [
+        (match dels with
+        | x :: _ ->
+            let u, v = uv x in
+            [
+              ( (fun d -> Ugraph.Delta.add_delete d u v),
+                msg "Ugraph.apply_delta: duplicate delete (%d, %d)" u v );
+              ( (fun d -> Ugraph.Delta.add_insert d v u),
+                msg
+                  "Ugraph.apply_delta: edge (%d, %d) both inserted and deleted"
+                  u v );
+            ]
+        | [] -> []);
+        (match ins with
+        | x :: _ ->
+            let u, v = uv x in
+            [
+              ( (fun d -> Ugraph.Delta.add_insert d v u),
+                msg "Ugraph.apply_delta: duplicate insert (%d, %d)" u v );
+            ]
+        | [] -> []);
+        (match absent with
+        | x :: _ ->
+            let u, v = uv x in
+            [
+              ( (fun d -> Ugraph.Delta.add_delete d u v),
+                msg "Ugraph.apply_delta: deleted edge (%d, %d) absent" u v );
+            ]
+        | [] -> []);
+        (match present with
+        | x :: _ ->
+            let u, v = uv x in
+            [
+              ( (fun d -> Ugraph.Delta.add_insert d u v),
+                msg "Ugraph.apply_delta: inserted edge (%d, %d) already present"
+                  u v );
+            ]
+        | [] -> []);
+        [
+          ( (fun d -> Ugraph.Delta.add_insert d (n - 1) (n + 2)),
+            msg "Ugraph: vertex %d out of range [0,%d)" (n + 2) n );
+        ];
+      ]
+  in
+  let add, expected = List.nth faults (Rng.int rng (List.length faults)) in
+  let d = mk_delta_of ~dels ~ins in
+  add d;
+  (d, expected)
+
+(* Every read API of [g] against the list model of edge set [e]. The
+   checks report through QCheck rather than Alcotest: a run makes
+   millions of them, and Alcotest logs every check it passes. *)
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+let agrees ~what n e g =
+  let adj = Array.make n [] in
+  Edge.Set.iter
+    (fun x ->
+      let u, v = Edge.endpoints x in
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    e;
+  let adj = Array.map (List.sort compare) adj in
+  if Ugraph.n g <> n || Ugraph.m g <> Edge.Set.cardinal e then
+    fail "%s: n/m %d/%d, expected %d/%d" what (Ugraph.n g) (Ugraph.m g) n
+      (Edge.Set.cardinal e);
+  let slot = ref 0 in
+  for u = 0 to n - 1 do
+    if Ugraph.degree g u <> List.length adj.(u) then
+      fail "%s: degree %d" what u;
+    if Array.to_list (Ugraph.neighbors g u) <> adj.(u) then
+      fail "%s: neighbors %d" what u;
+    List.iter
+      (fun v ->
+        if Ugraph.edge_slot g u v <> !slot then
+          fail "%s: edge_slot %d %d" what u v;
+        if Ugraph.slot_endpoints g !slot <> (u, v) then
+          fail "%s: slot_endpoints %d" what !slot;
+        incr slot)
+      adj.(u);
+    for v = 0 to n - 1 do
+      let expect = List.mem v adj.(u) in
+      if Ugraph.mem_edge g u v <> expect then
+        fail "%s: mem_edge %d %d" what u v;
+      if (not expect) && Ugraph.edge_slot g u v <> -1 then
+        fail "%s: edge_slot %d %d of a non-edge" what u v
+    done
+  done;
+  let streamed = ref [] in
+  Ugraph.iter_edges_uv (fun u v -> streamed := Edge.make u v :: !streamed) g;
+  if List.rev !streamed <> Edge.Set.elements e then
+    fail "%s: iter_edges_uv order" what;
+  if not (Ugraph.equal (Ugraph.of_edge_set ~n e) g) then
+    fail "%s: not equal to the rebuild" what
+
+let raises_with d g ?builder expected ~what =
+  match Ugraph.apply_delta ?builder g d with
+  | _ -> fail "%s: rejected delta accepted" what
+  | exception Invalid_argument got ->
+      if got <> expected then
+        fail "%s: raised %S, expected %S" what got expected
+
+let prop_row_merge =
+  QCheck.Test.make ~name:"apply_delta row merge = rebuild from edge set"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = if Rng.int rng 8 = 0 then 1 else 1 + Rng.int rng 24 in
+      let e = ref (random_edges rng n) in
+      let g0 = Ugraph.of_edge_set ~n !e in
+      let fresh = ref g0 and reused = ref g0 in
+      let b = Ugraph.Builder.create ~expected_edges:(Rng.int rng 4) ~n () in
+      for tick = 1 to 1 + Rng.int rng 6 do
+        let dels, ins = random_delta rng n !e in
+        if Rng.int rng 3 = 0 then begin
+          let bad, expected = faulty_delta rng n !e ~dels ~ins in
+          let what = Printf.sprintf "tick %d fault" tick in
+          raises_with bad !fresh expected ~what;
+          raises_with bad !reused ~builder:b expected ~what;
+          agrees ~what:(what ^ ", graph after") n !e !reused
+        end;
+        let d = mk_delta_of ~dels ~ins in
+        e :=
+          List.fold_left (fun s x -> Edge.Set.add x s)
+            (List.fold_left (fun s x -> Edge.Set.remove x s) !e dels)
+            ins;
+        fresh := Ugraph.apply_delta !fresh d;
+        reused := Ugraph.apply_delta ~builder:b !reused d;
+        agrees ~what:(Printf.sprintf "tick %d fresh" tick) n !e !fresh;
+        agrees ~what:(Printf.sprintf "tick %d reused" tick) n !e !reused
+      done;
+      (* the builder still builds graphs of its own *)
+      Ugraph.Builder.reset b ~n;
+      Edge.Set.iter
+        (fun x ->
+          let u, v = Edge.endpoints x in
+          Ugraph.Builder.add_edge b v u)
+        !e;
+      agrees ~what:"builder after the stream" n !e (Ugraph.Builder.finish b);
+      true)
+
 let () =
   Alcotest.run "csr"
     [
@@ -468,6 +751,10 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_delta_edge_cases;
           Alcotest.test_case "slot endpoints" `Quick test_slot_endpoints;
           Alcotest.test_case "common neighbors" `Quick test_common_neighbors;
+        ] );
+      ( "merge",
+        [
+          QCheck_alcotest.to_alcotest prop_row_merge;
         ] );
       ( "gc",
         [
