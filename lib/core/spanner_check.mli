@@ -53,9 +53,10 @@ val is_2_spanner_csr : Ugraph.t -> spanner_csr:Ugraph.t -> bool
     passes {!covers_edge_2}: one probe per graph edge, no build and
     no allocation. [spanner_csr] must be a subgraph of [g] on the
     same vertex set; that is not checked. {!Incremental.valid} runs
-    this against the spanner CSR it maintains as its every-tick
-    verdict ([spanner_cli churn], the daemon's CHURN and perfbench
-    [serve_mixed]). *)
+    this against the spanner CSR it maintains as the whole-graph
+    audit ([spanner_cli churn], perfbench [serve_mixed]) and as the
+    base a daemon LOAD checks once; a churn tick's own verdict runs
+    {!covers_edge_2} on its candidates only. *)
 
 val is_2_spanner_fast : Ugraph.t -> Edge.Set.t -> bool
 (** [is_spanner g s ~k:2]. *)

@@ -88,8 +88,15 @@ let install t ~seed g =
   let inc, (r : C.Two_spanner_local.result) =
     C.Incremental.bootstrap ~seed ~trace:(trace_sink t) g
   in
+  (* The one whole-graph check: the base every CHURN's local verdict
+     builds on. *)
   t.resident <-
-    Some { inc; bootstrap_rounds = r.metrics.rounds; valid = true };
+    Some
+      {
+        inc;
+        bootstrap_rounds = r.metrics.rounds;
+        valid = C.Incremental.valid inc;
+      };
   t.loads <- t.loads + 1;
   Wire.Loaded
     {
@@ -132,7 +139,7 @@ let handle_churn t ops =
         C.Incremental.apply ~trace:(trace_sink t) ld.inc d
       with
       | st ->
-          ld.valid <- C.Incremental.valid ld.inc;
+          ld.valid <- ld.valid && st.valid;
           t.churn_ticks <- t.churn_ticks + 1;
           t.churn_broken <- t.churn_broken + st.broken;
           t.repair_rounds <- t.repair_rounds + st.repair_rounds;

@@ -46,6 +46,8 @@ type reply =
       dirty : int;
       spanner : int;
       valid : bool;
+          (** the LOAD's whole-graph check and every tick's local
+              verdict since, conjoined *)
     }
   | Stats_reply of (string * float) list
       (** field order is part of the frame — printed verbatim *)

@@ -17,7 +17,9 @@
 #     is run by name so a suite filter can't drop it, and so is the
 #     row-merge Ugraph.apply_delta property (random graphs x valid
 #     delta streams against a from-scratch rebuild, plus rejected
-#     deltas' exact messages)
+#     deltas' exact messages), and so is the churn tick's certify
+#     property (random graphs x churn streams x fault schedules: every
+#     tick's local verdict and the whole-graph check read valid)
 #   - a tiny spanner_cli trace run (its exit status asserts that the
 #     per-round series reconciles with the engine metrics), run both
 #     sequentially and with --par 2: the two reports must be
@@ -27,11 +29,13 @@
 #   - a spanner_cli faults smoke run: the survivor-quality report must
 #     come back VALID (exit 0) for a LOCAL run under drops+crashes
 #     with retransmission
-#   - a spanner_cli churn smoke run: every repaired tick must be valid,
-#     the --recompute column must be wired, and the per-tick tables
-#     must be byte-identical across --par 1/2, plain and faulted
-#     (validity and naive/par determinism of whole churn traces are
-#     pinned in test/test_incremental.ml)
+#   - a spanner_cli churn smoke run: every repaired tick must be valid
+#     and agree with its own local verdict, faulted ticks included
+#     (exit 0, and all-valid=true on the faulted table), the
+#     --recompute column must be wired, and the per-tick tables must
+#     be byte-identical across --par 1/2, plain and faulted (validity
+#     and naive/par determinism of whole churn traces are pinned in
+#     test/test_incremental.ml)
 #   - the profiling subsystem: the bench JSON must carry the schema-7
 #     "profile" rows, spanner_cli profile --chrome must emit a
 #     Perfetto-loadable trace_event array whose every event parses
@@ -72,6 +76,9 @@ dune exec test/test_engine_sched.exe -- test allocation > /dev/null
 dune exec test/test_csr.exe -- test gc > /dev/null
 # The row-merge apply_delta property, explicitly.
 dune exec test/test_csr.exe -- test merge > /dev/null
+# The churn tick's certify property and its patched faulted trace,
+# explicitly.
+dune exec test/test_incremental.exe -- test certify > /dev/null
 # The LOCAL density phase's GC guard (one clique-ladder bootstrap under
 # a fixed minor-words ceiling), explicitly.
 dune exec test/test_local_protocol.exe -- test gc > /dev/null
@@ -216,13 +223,17 @@ dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
   --rate 0.02 --par 2 | sed -E 's/ *[0-9.]+ ?ms//g' > "$parrep"
 diff "$seqrep" "$parrep"
 # Churn composes with the adversary: each repair tick runs under the
-# fault schedule, the adversary's coin stream joins the determinism
-# contract, and the per-tick table stays byte-identical across shard
-# counts once wall-clock tokens are stripped.
+# fault schedule and still ends valid (a broken edge the faulted
+# repair leaves uncovered joins the spanner directly), the adversary's
+# coin stream joins the determinism contract, and the per-tick table
+# stays byte-identical across shard counts once wall-clock tokens are
+# stripped. The pipe hides the CLI's exit status, so the table's own
+# verdict is asserted.
 dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
   --rate 0.02 --schedule "$sched" --retry 3 \
   | sed -E 's/ *[0-9.]+ ?ms//g' > "$seqrep"
 grep -q 'on every repair run' "$seqrep"
+grep -q 'all-valid=true' "$seqrep"
 dune exec bin/spanner_cli.exe -- churn "$tmpgraph" --ticks 3 \
   --rate 0.02 --schedule "$sched" --retry 3 --par 2 \
   | sed -E 's/ *[0-9.]+ ?ms//g' > "$parrep"

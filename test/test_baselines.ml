@@ -85,7 +85,8 @@ let test_greedy_vs_distributed_consistency () =
 
 let prop_greedy_always_valid =
   QCheck.Test.make ~name:"greedy always yields a 2-spanner" ~count:20
-    QCheck.(pair (int_range 2 25) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 25) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) n 0.3 in
       let r = C.Kp_greedy.run g in
@@ -147,7 +148,8 @@ let test_bs_rounds_is_k () =
 let prop_bs_stretch =
   QCheck.Test.make ~name:"Baswana-Sen stretch bound is never violated"
     ~count:25
-    QCheck.(pair (int_range 1 4) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 4) (int_range 0 10_000)))
     (fun (k, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) 30 0.25 in
       let r = C.Baswana_sen.run ~rng:(Rng.create (seed + 1)) ~k g in
@@ -189,7 +191,8 @@ let test_en_sparsifies () =
 
 let prop_en_stretch =
   QCheck.Test.make ~name:"Elkin-Neiman stretch never violated" ~count:20
-    QCheck.(pair (int_range 2 4) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 4) (int_range 0 10_000)))
     (fun (k, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) 25 0.3 in
       let r = C.Elkin_neiman.run ~seed:(seed + 1) ~k g in

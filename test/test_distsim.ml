@@ -293,7 +293,8 @@ let test_matching_gives_vertex_cover () =
 
 let prop_mis_valid =
   QCheck.Test.make ~name:"Luby MIS always independent and maximal" ~count:20
-    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 30) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp (Rng.create seed) n 0.2 in
       let mis, _ = Distsim.Algorithms.luby_mis ~seed:(seed + 1) g in
@@ -301,7 +302,8 @@ let prop_mis_valid =
 
 let prop_matching_valid =
   QCheck.Test.make ~name:"matching always symmetric and maximal" ~count:20
-    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 30) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp (Rng.create seed) n 0.2 in
       let mate, _ = Distsim.Algorithms.maximal_matching ~seed:(seed + 1) g in

@@ -450,7 +450,8 @@ let series_eq (a : Distsim.Trace.series) (b : Distsim.Trace.series) =
 let prop_skeleton =
   QCheck.Test.make ~name:"active = par 2 = naive on random runs" ~count:100
     QCheck.(
-      quad (int_range 2 40) (int_range 0 10_000) bool (pair bool bool))
+      set_shrink Shrink.nil
+        (quad (int_range 2 40) (int_range 0 10_000) bool (pair bool bool)))
     (fun (n, seed, faulted, (sparse, subset_bit)) ->
       let r = rng seed in
       let p = 0.05 +. Rng.float r 0.3 in

@@ -363,7 +363,8 @@ let test_dot_mentions_highlight () =
 
 let prop_gnp_edge_bounds =
   QCheck.Test.make ~name:"gnp within bounds" ~count:30
-    QCheck.(pair (int_range 2 25) (int_range 0 100))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 25) (int_range 0 100)))
     (fun (n, seed) ->
       let g = Generators.gnp (Rng.create seed) n 0.5 in
       Ugraph.m g <= n * (n - 1) / 2)

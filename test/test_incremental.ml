@@ -1,7 +1,8 @@
 (* Incremental churn repair: per-tick validity against the fast
-   checker (itself pinned to the BFS checker here), determinism of
-   the repaired spanner across schedulers and shard counts, and the
-   engine's sparse-activation contract. *)
+   checker (itself pinned to the BFS checker here), the tick's own
+   local verdict and fault patching, determinism of the repaired
+   spanner across schedulers and shard counts, and the engine's
+   sparse-activation contract. *)
 
 open Grapho
 module C = Spanner_core
@@ -280,13 +281,13 @@ let test_churn_determinism () =
           check (name ^ ": same tick stats") true (st = st0))
         rest
 
-(* Churn composed with a PR 5 fault schedule: the ball-local repair
-   runs under drops + a fraction crash. Under crashes a tick may leave
-   the spanner invalid (the repair can terminate without covering
-   every dirty edge), so the contract here is determinism, not
-   validity: the whole faulted trace — graph, spanner, tick stats and
-   the per-tick verdict — is bit-identical across engine schedulers
-   and shard counts. *)
+(* Churn composed with a fault schedule: the ball-local repair runs
+   under drops + a fraction crash. The repair can then terminate
+   without covering every broken edge, and the tick inserts each such
+   edge itself, so every tick still ends valid (both its own local
+   verdict and the whole-graph check say so). The whole faulted
+   trace — graph, spanner, tick stats and the per-tick verdict — is
+   also bit-identical across engine schedulers and shard counts. *)
 let test_churn_faulted_determinism () =
   let _, mk = List.nth families 1 in
   let schedule = "drop=0.05,crash=0.1@r3,seed=42" in
@@ -306,7 +307,9 @@ let test_churn_faulted_determinism () =
     for _ = 1 to 5 do
       C.Incremental.churn ~rng ~replace (C.Incremental.graph inc) d;
       let st = C.Incremental.apply ?sched ?par ~adversary ~retry:2 inc d in
-      trace := (st, C.Incremental.valid inc) :: !trace
+      let valid = C.Incremental.valid inc in
+      check (Printf.sprintf "tick %d valid" st.tick) true (valid && st.valid);
+      trace := (st, valid) :: !trace
     done;
     (C.Incremental.graph inc, C.Incremental.spanner inc, List.rev !trace)
   in
@@ -323,6 +326,122 @@ let test_churn_faulted_determinism () =
      never consulted and the test is vacuous). *)
   check "some tick repaired" true
     (List.exists (fun ((st : C.Incremental.tick_stats), _) -> st.broken > 0) t0)
+
+(* ------------------------------------------------------------------ *)
+(* The tick certifies itself: after every tick, faulted or not, the
+   local verdict and the whole-graph check both read valid, and only a
+   fault schedule makes the tick patch. Checks report through QCheck
+   (see test_csr's "merge" property). *)
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+let schedules =
+  [|
+    "";
+    "drop=0.05,seed=5";
+    "drop=0.05,crash=0.1@r3,seed=42";
+    "crash=0.3@r2,seed=7";
+    "drop=0.2,crash=0.5@r1,seed=11";
+  |]
+
+(* Deletes every edge at a random vertex, plus up to [ins] absent
+   edges elsewhere. *)
+let neighbourhood_delta rng g d ~ins =
+  Ugraph.Delta.reset d;
+  let n = Ugraph.n g in
+  let x = Rng.int rng n in
+  Ugraph.iter_neighbors (fun y -> Ugraph.Delta.add_delete d x y) g x;
+  let chosen = ref [] in
+  for _ = 1 to ins do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let e = (min u v, max u v) in
+    if
+      u <> v && u <> x && v <> x
+      && (not (Ugraph.mem_edge g u v))
+      && not (List.mem e !chosen)
+    then begin
+      chosen := e :: !chosen;
+      Ugraph.Delta.add_insert d u v
+    end
+  done
+
+(* Every size is drawn from the one seed, and there is no shrinker: a
+   smaller seed is an unrelated case, not a simpler one. *)
+let prop_certified =
+  QCheck.Test.make ~name:"every tick ends valid and certifies itself"
+    ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        if Rng.bool rng then
+          Generators.gnp_connected rng (4 + Rng.int rng 50)
+            (0.05 +. Rng.float rng 0.3)
+        else
+          Generators.caveman rng (2 + Rng.int rng 5) (3 + Rng.int rng 6)
+            (Rng.float rng 0.2)
+      in
+      let sched = schedules.(Rng.int rng (Array.length schedules)) in
+      let adversary =
+        if sched = "" then None
+        else
+          Some
+            (Distsim.Faults.compile ~n:(Ugraph.n g)
+               (Result.get_ok (Distsim.Faults.parse sched)))
+      in
+      let retry = 1 + Rng.int rng 3 in
+      let inc, (_ : C.Two_spanner_local.result) =
+        C.Incremental.bootstrap ~seed g
+      in
+      let d = Ugraph.Delta.create () in
+      for _ = 1 to 1 + Rng.int rng 8 do
+        let g = C.Incremental.graph inc in
+        (match Rng.int rng 4 with
+        | 0 -> Ugraph.Delta.reset d
+        | 1 -> neighbourhood_delta rng g d ~ins:(Rng.int rng 4)
+        | _ ->
+            (* at most half the absent edges, so insertions always fit *)
+            let n = Ugraph.n g and m = Ugraph.m g in
+            let absent = (n * (n - 1) / 2) - m in
+            C.Incremental.churn ~rng
+              ~replace:(Rng.int rng (1 + min (m / 5) (absent / 2)))
+              g d);
+        let st = C.Incremental.apply ?adversary ~retry inc d in
+        let what = Printf.sprintf "[%s] tick %d" sched st.tick in
+        if not st.valid then fail "%s: local verdict invalid" what;
+        if
+          not
+            (C.Spanner_check.is_2_spanner_csr (C.Incremental.graph inc)
+               ~spanner_csr:(C.Incremental.spanner_csr inc))
+        then fail "%s: spanner invalid" what;
+        if sched = "" && st.patched <> 0 then
+          fail "%s: fault-free tick patched %d edges" what st.patched
+      done;
+      true)
+
+(* A faulted trace that does reach the patch step: half the vertices
+   crash at round 1 of every repair run, and a fifth of the messages
+   are lost. *)
+let test_patched_tick () =
+  let g = Generators.caveman_n (Rng.create 12) 24 0.05 in
+  let adversary =
+    Distsim.Faults.compile ~n:(Ugraph.n g)
+      (Result.get_ok (Distsim.Faults.parse "drop=0.2,crash=0.5@r1,seed=11"))
+  in
+  let inc, (_ : C.Two_spanner_local.result) =
+    C.Incremental.bootstrap ~seed:1 g
+  in
+  let rng = Rng.create 5 in
+  let d = Ugraph.Delta.create () in
+  let patched = ref 0 in
+  for _ = 1 to 10 do
+    C.Incremental.churn ~rng ~replace:1 (C.Incremental.graph inc) d;
+    let st = C.Incremental.apply ~adversary ~retry:3 inc d in
+    patched := !patched + st.patched;
+    check (Printf.sprintf "tick %d valid" st.tick) true
+      (st.valid && C.Incremental.valid inc)
+  done;
+  check "some tick patched" true (!patched > 0)
 
 let test_churn_generator () =
   let g = Generators.gnp_connected (Rng.create 8) 50 0.1 in
@@ -366,5 +485,10 @@ let () =
           Alcotest.test_case "faulted determinism" `Quick
             test_churn_faulted_determinism;
           Alcotest.test_case "generator" `Quick test_churn_generator;
+        ] );
+      ( "certify",
+        [
+          QCheck_alcotest.to_alcotest prop_certified;
+          Alcotest.test_case "patched tick" `Quick test_patched_tick;
         ] );
     ]

@@ -70,7 +70,8 @@ let test_weak_diameter () =
 
 let prop_decomposition_valid =
   QCheck.Test.make ~name:"decomposition always valid" ~count:15
-    QCheck.(pair (int_range 1 40) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 40) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp (Rng.create seed) n 0.15 in
       let d = C.Decomposition.run ~rng:(Rng.create (seed + 1)) g in
@@ -156,7 +157,8 @@ let test_eps_rounds_reported () =
 
 let prop_eps_always_valid =
   QCheck.Test.make ~name:"(1+eps) result is always a k-spanner" ~count:8
-    QCheck.(pair (int_range 2 3) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 3) (int_range 0 10_000)))
     (fun (k, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) 9 0.4 in
       let r =

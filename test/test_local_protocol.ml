@@ -76,7 +76,8 @@ let test_local_runs_under_local_model_only () =
 
 let prop_local_equals_engine =
   QCheck.Test.make ~name:"local protocol = engine on random graphs" ~count:15
-    QCheck.(pair (int_range 2 25) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 25) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) n 0.35 in
       let a = C.Two_spanner.run ~seed g in
@@ -208,7 +209,8 @@ let test_weighted_protocol_equal () =
 let prop_weighted_protocol_equal =
   QCheck.Test.make ~name:"weighted local protocol = weighted engine"
     ~count:10
-    QCheck.(pair (int_range 2 20) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 20) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) n 0.35 in
       let w =
@@ -221,7 +223,8 @@ let prop_weighted_protocol_equal =
 
 let prop_congest_equals_engine =
   QCheck.Test.make ~name:"CONGEST compilation = engine" ~count:8
-    QCheck.(pair (int_range 2 18) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 18) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp_connected (Rng.create seed) n 0.35 in
       let a = C.Two_spanner.run ~seed g in

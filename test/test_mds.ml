@@ -113,7 +113,8 @@ let test_reference_mirror_equal () =
 
 let prop_reference_mirror =
   QCheck.Test.make ~name:"MDS protocol = centralized mirror" ~count:15
-    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 30) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp (Rng.create seed) n 0.2 in
       (C.Mds.run ~rng:(Rng.create seed) g).dominating_set
@@ -121,7 +122,8 @@ let prop_reference_mirror =
 
 let prop_mds_always_dominates =
   QCheck.Test.make ~name:"MDS output always dominates" ~count:25
-    QCheck.(pair (int_range 1 40) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 40) (int_range 0 10_000)))
     (fun (n, seed) ->
       let g = Generators.gnp (Rng.create seed) n 0.15 in
       let r = C.Mds.run ~rng:(Rng.create (seed + 1)) g in

@@ -205,7 +205,8 @@ let test_star_hv_frame () =
 let prop_star_spanned_count =
   QCheck.Test.make ~name:"spanned_count = |independent spanned set|"
     ~count:200
-    QCheck.(pair (int_range 1 9) (int_range 0 1_000_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 9) (int_range 0 1_000_000)))
     (fun (d, seed) ->
       let rng = Random.State.make [| seed |] in
       let neighbors = Array.init d (fun i -> (3 * i) + 1) in
@@ -356,7 +357,8 @@ let test_iteration_guard_raises () =
 
 let prop_always_valid =
   QCheck.Test.make ~name:"2-spanner always valid" ~count:25
-    QCheck.(pair (int_range 2 30) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 30) (int_range 0 10_000)))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Generators.gnp_connected rng n 0.3 in
@@ -572,7 +574,8 @@ let test_query_path_edge_cases () =
 
 let prop_stretch_consistent_with_is_spanner =
   QCheck.Test.make ~name:"stretch <= k iff is_spanner" ~count:25
-    QCheck.(pair (int_range 1 4) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 1 4) (int_range 0 10_000)))
     (fun (k, seed) ->
       let rng = Rng.create seed in
       let g = Generators.gnp_connected rng 12 0.3 in

@@ -66,7 +66,8 @@ let test_directed_ratio_vs_exact () =
 
 let prop_directed_always_valid =
   QCheck.Test.make ~name:"directed 2-spanner always valid" ~count:20
-    QCheck.(pair (int_range 2 20) (int_range 0 10_000))
+    QCheck.(
+      set_shrink Shrink.nil (pair (int_range 2 20) (int_range 0 10_000)))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Generators.gnp_connected rng n 0.3 in
